@@ -1,5 +1,5 @@
 // Package repro's root benchmark harness regenerates every table and
-// figure of the paper (experiments E1–E15) and reports the headline
+// figure of the paper (experiments E1–E23) and reports the headline
 // metrics via b.ReportMetric, plus micro-benchmarks of the substrates
 // (corpus generation, CSV codecs, event filtering, distribution fitting,
 // the partition allocator and the scheduler).
@@ -27,6 +27,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/joblog"
 	"repro/internal/machine"
+	"repro/internal/oracle"
 	"repro/internal/raslog"
 	"repro/internal/sched"
 	"repro/internal/sel"
@@ -52,7 +53,7 @@ func sharedEnv(b *testing.B) *experiments.Env {
 		cfg.Days = benchDays
 		cfg.NumUsers = 300
 		cfg.NumProjects = 120
-		benchEnv, benchErr = experiments.NewEnv(cfg)
+		benchEnv, benchErr = experiments.NewEnv(cfg, 0)
 	})
 	if benchErr != nil {
 		b.Fatal(benchErr)
@@ -169,10 +170,10 @@ func benchFitAll(b *testing.B, workers int) {
 	for i := range data {
 		data[i] = w.Rand(rng)
 	}
-	serial := timeOnce(b, func() { dist.FitAllParallel(data, nil, 1) })
+	serial := timeOnce(b, func() { dist.FitAll(dist.NewSample(data), nil, 1) })
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		results := dist.FitAllParallel(data, nil, workers)
+		results := dist.FitAll(dist.NewSample(data), nil, workers)
 		if results[0].Err != nil {
 			b.Fatal(results[0].Err)
 		}
@@ -192,13 +193,13 @@ func benchFilterSweep(b *testing.B, workers int) {
 		2 * time.Hour, 6 * time.Hour,
 	}
 	serial := timeOnce(b, func() {
-		if _, err := core.FilterSweepParallel(env.D.Events, base, windows, 1); err != nil {
+		if _, err := core.FilterSweep(env.D.Events, base, windows, 1); err != nil {
 			b.Fatal(err)
 		}
 	})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		points, err := core.FilterSweepParallel(env.D.Events, base, windows, workers)
+		points, err := core.FilterSweep(env.D.Events, base, windows, workers)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -213,14 +214,14 @@ func BenchmarkRunAllSerial(b *testing.B)   { benchRunAll(b, 1) }
 func BenchmarkRunAllParallel(b *testing.B) { benchRunAll(b, 0) }
 
 // benchRunAll reuses the shared env across iterations, so its memoized
-// profiles stay warm — it measures suite overhead on a hot cache. The
-// paired Benchmark_RunAll_Legacy/Fused below measure cold runs.
+// profiles stay warm — it measures suite overhead on a hot cache.
 func benchRunAll(b *testing.B, workers int) {
 	env := sharedEnv(b)
-	// Warm the memoized classifications so neither variant pays the one-off
+	// Warm the memoized fused profile so neither variant pays the one-off
 	// cost inside the timed region.
-	env.ClassifyByExit()
-	env.ClassifyJoint()
+	if _, err := env.Summary(); err != nil {
+		b.Fatal(err)
+	}
 	serial := timeOnce(b, func() {
 		if _, err := experiments.RunAll(env, 1); err != nil {
 			b.Fatal(err)
@@ -239,53 +240,129 @@ func benchRunAll(b *testing.B, workers int) {
 	reportSpeedup(b, serial)
 }
 
-// Paired legacy/fused benchmarks of the full E1–E23 suite. Each iteration
-// builds a fresh Env over the shared dataset, so every memoization cache is
-// cold and the timing covers the complete cost of regenerating the paper:
-// the legacy variant re-walks the corpus per experiment, the fused variant
-// runs the single shared scan plus the memoized incident/MTTI passes. Both
-// time three back-to-back legacy passes outside the timer and report
-// "speedup" relative to the median — back-to-back passes carry the same
-// allocation debt as the timed loop, so the reference matches the legacy
-// variant's own steady-state ns/op (whose ratio sits near 1.0 by
-// construction). The equivalence tests prove the two modes render
-// byte-identical output.
+// Paired oracle/fused benchmarks of the aggregate layer: every whole-corpus
+// aggregate the suite consumes (E1/E2/E4/E7/E9/E10/E14/E15/E16/E18/E19/E21),
+// computed either by the reference walks in internal/oracle — one private
+// corpus pass per analysis, per-lookback and per-window re-filtering — or
+// through a fresh Env's accessors, which run one shared fused scan plus the
+// memoized incident streams and MTTI. Fits, structure, I/O and the other
+// single-implementation analyses are out of scope: the pair isolates the
+// layer that has two implementations. Both report "speedup" against a
+// median of three oracle passes timed back-to-back outside the timer, so
+// the Oracle variant sits near 1.0 by construction. The equivalence tests
+// prove both sides produce identical results.
 
-func Benchmark_RunAll_Legacy(b *testing.B) { benchRunAllCold(b, true) }
-func Benchmark_RunAll_Fused(b *testing.B)  { benchRunAllCold(b, false) }
+func Benchmark_Aggregates_Oracle(b *testing.B) { benchAggregates(b, aggregatesOracle) }
+func Benchmark_Aggregates_Fused(b *testing.B)  { benchAggregates(b, aggregatesFused) }
 
-func benchRunAllCold(b *testing.B, legacy bool) {
-	d := sharedEnv(b).D
-	run := func(legacy bool) {
-		env := experiments.NewEnvFromDataset(d)
-		env.Legacy = legacy
-		env.Parallelism = 1
-		results, err := experiments.RunAll(env, 1)
-		if err != nil {
-			b.Fatal(err)
+var (
+	aggLookbacks = []time.Duration{time.Hour, 6 * time.Hour, 12 * time.Hour, 24 * time.Hour}
+	aggWindows   = []time.Duration{time.Hour, 6 * time.Hour, 24 * time.Hour}
+	aggLevels    = []machine.Level{machine.LevelMidplane, machine.LevelRack}
+)
+
+const aggPhases = 8
+
+// aggregatesOracle computes the aggregate layer with the reference walks.
+func aggregatesOracle(d *core.Dataset) error {
+	_ = oracle.Summarize(d)
+	cls := oracle.ClassifyByExit(d)
+	_ = oracle.TallyOf(cls)
+	_ = oracle.TallyOf(oracle.ClassifyJoint(d, core.DefaultJointOptions()))
+	for _, by := range []core.GroupBy{core.ByUser, core.ByProject} {
+		_ = oracle.Aggregate(d, by, cls)
+		if _, err := oracle.Concentration(d, by, cls); err != nil {
+			return err
 		}
-		if len(results) != len(experiments.All()) {
-			b.Fatal("short suite")
+	}
+	_ = oracle.Temporal(d)
+	_ = oracle.Profile(d)
+	_ = oracle.Waste(d, cls)
+	if _, err := oracle.InterruptsByUser(d, cls); err != nil {
+		return err
+	}
+	for _, level := range aggLevels {
+		if _, err := oracle.Locality(d, level); err != nil {
+			return err
+		}
+	}
+	for _, lb := range aggLookbacks {
+		opt := core.DefaultLeadTimeOptions()
+		opt.Lookback = lb
+		if _, err := oracle.LeadTime(d, core.DefaultFilterRule(), opt); err != nil {
+			return err
+		}
+	}
+	if _, err := oracle.LifePhases(d, aggPhases, core.DefaultFilterRule()); err != nil {
+		return err
+	}
+	for _, w := range aggWindows {
+		if _, err := oracle.SpatialCorrelation(d, core.DefaultFilterRule(), w); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// aggregatesFused computes the same aggregates through a cold Env.
+func aggregatesFused(d *core.Dataset) error {
+	env := experiments.NewEnvFromDataset(d)
+	env.Parallelism = 1
+	steps := []func() error{
+		func() error { _, err := env.Summary(); return err },
+		func() error { _, err := env.ExitTally(); return err },
+		func() error { _, err := env.JointTally(); return err },
+		func() error { _, err := env.Temporal(); return err },
+		func() error { _, err := env.RASProfile(); return err },
+		func() error { _, err := env.Waste(); return err },
+		func() error { _, err := env.Interrupts(); return err },
+		func() error { _, err := env.LeadTimes(aggLookbacks); return err },
+		func() error { _, err := env.LifePhases(aggPhases); return err },
+	}
+	for _, by := range []core.GroupBy{core.ByUser, core.ByProject} {
+		steps = append(steps,
+			func() error { _, err := env.Groups(by); return err },
+			func() error { _, err := env.Concentration(by); return err })
+	}
+	for _, level := range aggLevels {
+		steps = append(steps, func() error { _, err := env.Locality(level); return err })
+	}
+	for _, w := range aggWindows {
+		steps = append(steps, func() error { _, err := env.SpatialCorr(w); return err })
+	}
+	for _, step := range steps {
+		if err := step(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func benchAggregates(b *testing.B, compute func(*core.Dataset) error) {
+	d := sharedEnv(b).D
+	run := func(compute func(*core.Dataset) error) {
+		if err := compute(d); err != nil {
+			b.Fatal(err)
 		}
 	}
 	passes := make([]time.Duration, 3)
 	for i := range passes {
-		passes[i] = timeOnce(b, func() { run(true) })
+		passes[i] = timeOnce(b, func() { run(aggregatesOracle) })
 	}
 	slices.Sort(passes)
-	legacyTime := passes[1]
-	// One untimed pass of the measured mode builds the dataset's lazy
+	oracleTime := passes[1]
+	// One untimed pass of the measured variant builds the dataset's lazy
 	// caches (column views, interned filter keys) — the benchmark contract
-	// is a cold Env over a warm Dataset, like fatalIdx/warnIdx built at
+	// is cold analyses over a warm Dataset, like fatalIdx/warnIdx built at
 	// NewDataset. Then collect the warm-up garbage outside the timer.
-	run(legacy)
+	run(compute)
 	runtime.GC()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		run(legacy)
+		run(compute)
 	}
-	reportSpeedup(b, legacyTime)
+	reportSpeedup(b, oracleTime)
 }
 
 // Paired cohort-query benchmarks (DESIGN.md §14). One iteration answers a
@@ -328,7 +405,7 @@ func benchCohortSweep(b *testing.B, materialize bool) {
 			var err error
 			if materialize {
 				var md *core.Dataset
-				if md, err = d.MaterializeWhere(e); err == nil {
+				if md, err = oracle.MaterializeWhere(d, e); err == nil {
 					p, err = md.FusedScan(1)
 				}
 			} else {
@@ -609,7 +686,7 @@ func BenchmarkModelSelection(b *testing.B) {
 		data[i] = p.Rand(rng)
 	}
 	for i := 0; i < b.N; i++ {
-		if _, err := dist.SelectBest(data, nil); err != nil {
+		if _, err := dist.SelectBest(dist.NewSample(data), nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -706,25 +783,4 @@ func BenchmarkTakeaways(b *testing.B) {
 			b.Fatalf("got %d takeaways", len(ts))
 		}
 	}
-}
-
-// BenchmarkClassification measures both classification strategies.
-func BenchmarkClassification(b *testing.B) {
-	env := sharedEnv(b)
-	b.Run("by-exit", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			cls := env.D.ClassifyByExit()
-			if cls.Failed == 0 {
-				b.Fatal("no failures")
-			}
-		}
-	})
-	b.Run("joint", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			cls := env.D.ClassifyJoint(core.DefaultJointOptions())
-			if cls.Failed == 0 {
-				b.Fatal("no failures")
-			}
-		}
-	})
 }

@@ -1,6 +1,6 @@
-// Command mirareport runs the paper's analyses — experiments E1–E22 and the
-// 22-takeaway report — over a corpus, either loaded from a directory
-// written by miragen or generated in memory.
+// Command mirareport runs the paper's analyses — the experiment suite
+// (-list prints it) and the 22-takeaway report — over a corpus, either
+// loaded from a directory written by miragen or generated in memory.
 //
 // Usage:
 //
@@ -51,13 +51,12 @@ func run() error {
 	days := flag.Int("days", 0, "override days when generating")
 	seed := flag.Int64("seed", 0, "override seed when generating")
 	small := flag.Bool("small", false, "generate the fast 30-day corpus")
-	expID := flag.String("exp", "", "run a single experiment (E1..E22)")
+	expID := flag.String("exp", "", "run a single experiment ("+expRange()+")")
 	takeaways := flag.Bool("takeaways", false, "print only the 22-takeaway report")
 	where := flag.String("where", "", "print the cohort profile this predicate selects and exit (e.g. 'exit != success and nodes >= 1024')")
 	list := flag.Bool("list", false, "list the experiments and exit")
 	csvDir := flag.String("csv", "", "also dump figure/table CSVs into this directory")
 	parallelism := flag.Int("parallelism", 0, "worker bound for corpus generation and the experiment suite (0 = all cores, 1 = serial; results are identical)")
-	legacy := flag.Bool("legacy", false, "disable the fused scan engine and recompute every analysis per experiment (output is byte-identical; for benchmarking and bisection)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
@@ -99,7 +98,6 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	env.Legacy = *legacy
 
 	if *where != "" {
 		return printCohort(env, *where)
@@ -112,7 +110,7 @@ func run() error {
 	if *expID != "" {
 		exp, ok := experiments.ByID(*expID)
 		if !ok {
-			return fmt.Errorf("unknown experiment %q (run with -list to see E1..E22)", *expID)
+			return fmt.Errorf("unknown experiment %q (run with -list to see %s)", *expID, expRange())
 		}
 		res, err := exp.Run(env)
 		if err != nil {
@@ -154,6 +152,12 @@ func run() error {
 	return nil
 }
 
+// expRange names the registry's experiment range, e.g. "E1..E23".
+func expRange() string {
+	all := experiments.All()
+	return all[0].ID + ".." + all[len(all)-1].ID
+}
+
 // buildEnv creates the evaluation environment from a corpus directory
 // (snapshot or CSV) or by generating a fresh corpus.
 func buildEnv(in, format string, days int, seed int64, small bool, parallelism int) (*experiments.Env, error) {
@@ -169,7 +173,7 @@ func buildEnv(in, format string, days int, seed int64, small bool, parallelism i
 			cfg.Seed = seed
 		}
 		fmt.Fprintf(os.Stderr, "generating %d-day corpus (seed %d)...\n", cfg.Days, cfg.Seed)
-		return experiments.NewEnvParallel(cfg, parallelism)
+		return experiments.NewEnv(cfg, parallelism)
 	}
 	ft, err := pack.ParseFormat(format)
 	if err != nil {

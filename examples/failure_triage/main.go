@@ -33,17 +33,22 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	cls := d.ClassifyByExit()
+	// One fused pass yields the per-user aggregates and their
+	// concentration profile.
+	p, err := d.FusedScan(0)
+	if err != nil {
+		return err
+	}
 
 	// Triage table: the ten most-failing users with their wasted core-hours
 	// and dominant exit family.
-	users := d.Aggregate(core.ByUser, cls)
+	users := p.Groups(core.ByUser)
 	t := &report.Table{
 		Title:   "failure triage: top-10 failing users (60 days)",
 		Columns: []string{"user", "jobs", "failed", "fail rate", "wasted core-h", "dominant failure"},
 	}
 	for _, g := range core.TopFailing(users, 10) {
-		wasted, dominant := userFailureProfile(d, cls, g.Key)
+		wasted, dominant := userFailureProfile(d, g.Key)
 		t.AddRow(g.Key, g.Jobs, g.Failed, g.FailRate, wasted, dominant)
 	}
 	if err := t.Render(os.Stdout); err != nil {
@@ -51,7 +56,7 @@ func run() error {
 	}
 
 	// Association strength: is failing behaviour a property of the user?
-	conc, err := d.Concentration(core.ByUser, cls)
+	conc, err := p.Concentration(core.ByUser)
 	if err != nil {
 		return err
 	}
@@ -62,7 +67,7 @@ func run() error {
 
 // userFailureProfile returns the core-hours consumed by the user's failed
 // jobs and the user's most common failure family.
-func userFailureProfile(d *core.Dataset, cls *core.Classification, user string) (float64, string) {
+func userFailureProfile(d *core.Dataset, user string) (float64, string) {
 	var wasted float64
 	fams := map[joblog.ExitFamily]int{}
 	for i := range d.Jobs {

@@ -34,12 +34,17 @@ func run() error {
 		return err
 	}
 
-	// 3. Headline numbers: dataset summary + failure attribution.
-	s := d.Summarize()
+	// 3. Headline numbers: dataset summary + failure attribution, both
+	// from one fused pass over the job and event columns.
+	p, err := d.FusedScan(0)
+	if err != nil {
+		return err
+	}
+	s := p.Summary
 	fmt.Printf("corpus: %.0f days, %d jobs, %.2fM core-hours, %d RAS events\n",
 		s.Days, s.Jobs, s.CoreHours/1e6, s.RASTotal)
 
-	cls := d.ClassifyByExit()
+	cls := p.Exit
 	fmt.Printf("failures: %d of %d jobs (%.1f%%)\n",
 		cls.Failed, cls.Total, 100*float64(cls.Failed)/float64(cls.Total))
 	fmt.Printf("user-caused: %.1f%%  system-caused: %d jobs\n",

@@ -39,6 +39,16 @@ func dataset(t *testing.T) (*Dataset, *sim.Corpus) {
 	return testDataset, testCorpus
 }
 
+// profile runs the fused scan over d, failing the test on error.
+func profile(t *testing.T, d *Dataset) *FusedProfile {
+	t.Helper()
+	p, err := d.FusedScan(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 func TestNewDatasetErrors(t *testing.T) {
 	if _, err := NewDataset(nil, nil, nil, nil); err == nil {
 		t.Error("empty dataset accepted")
@@ -72,7 +82,7 @@ func TestDatasetSortsEvents(t *testing.T) {
 
 func TestSummarizeConsistent(t *testing.T) {
 	d, c := dataset(t)
-	s := d.Summarize()
+	s := profile(t, d).Summary
 	if s.Jobs != len(c.Jobs) || s.Tasks != len(c.Tasks) || s.RASTotal != len(c.Events) || s.IORecords != len(c.IO) {
 		t.Errorf("summary counts wrong: %+v", s)
 	}
@@ -95,7 +105,7 @@ func TestSummarizeConsistent(t *testing.T) {
 
 func TestClassifyByExitMatchesTruth(t *testing.T) {
 	d, c := dataset(t)
-	cls := d.ClassifyByExit()
+	cls := profile(t, d).Exit
 	if cls.Total != len(c.Jobs) {
 		t.Errorf("total = %d", cls.Total)
 	}
@@ -111,55 +121,21 @@ func TestClassifyByExitMatchesTruth(t *testing.T) {
 	if cls.UserShare() < 0.95 {
 		t.Errorf("user share = %v", cls.UserShare())
 	}
-	// The cause map partitions the job set.
-	counts := map[Cause]int{}
-	for _, cause := range cls.Causes {
-		counts[cause]++
+	// The per-family counts partition the failures.
+	byFamily := 0
+	for _, n := range cls.ByFamily {
+		byFamily += n
 	}
-	if counts[CauseNone]+counts[CauseUser]+counts[CauseSystem] != cls.Total {
-		t.Error("causes do not partition jobs")
-	}
-}
-
-func TestClassifyJointAgreesWithExit(t *testing.T) {
-	d, c := dataset(t)
-	exit := d.ClassifyByExit()
-	joint := d.ClassifyJoint(DefaultJointOptions())
-	if joint.Total != exit.Total || joint.Failed != exit.Failed {
-		t.Fatalf("joint totals differ: %+v vs %+v", joint, exit)
-	}
-	// Joint must find every truth-killed job (they have attributed FATALs
-	// or block-matching events at their end) and may add a few
-	// coincidental matches (user failure near an idle-hardware event).
-	if joint.SystemCause < c.Truth.SystemKilledJobs {
-		t.Errorf("joint system %d < truth %d", joint.SystemCause, c.Truth.SystemKilledJobs)
-	}
-	extra := joint.SystemCause - c.Truth.SystemKilledJobs
-	if float64(extra) > 0.02*float64(joint.Failed) {
-		t.Errorf("joint over-attributes: %d extra of %d failed", extra, joint.Failed)
-	}
-	// Every exit-classified system job must be joint-classified system.
-	for id, cause := range exit.Causes {
-		if cause == CauseSystem && joint.Causes[id] != CauseSystem {
-			t.Errorf("job %d: exit says system, joint says %v", id, joint.Causes[id])
-		}
-	}
-}
-
-func TestCauseString(t *testing.T) {
-	for c, want := range map[Cause]string{
-		CauseNone: "none", CauseUser: "user", CauseSystem: "system", Cause(9): "unknown",
-	} {
-		if c.String() != want {
-			t.Errorf("Cause(%d) = %q", int(c), c.String())
-		}
+	if byFamily != cls.Failed || cls.UserCaused+cls.SystemCause != cls.Failed {
+		t.Errorf("family counts %d, user+system %d, failed %d", byFamily, cls.UserCaused+cls.SystemCause, cls.Failed)
 	}
 }
 
 func TestAggregateAndConcentration(t *testing.T) {
 	d, c := dataset(t)
-	cls := d.ClassifyByExit()
-	users := d.Aggregate(ByUser, cls)
+	p := profile(t, d)
+	cls := p.Exit
+	users := p.Groups(ByUser)
 	if len(users) == 0 {
 		t.Fatal("no user groups")
 	}
@@ -183,7 +159,7 @@ func TestAggregateAndConcentration(t *testing.T) {
 			t.Fatal("groups not sorted")
 		}
 	}
-	conc, err := d.Concentration(ByUser, cls)
+	conc, err := p.Concentration(ByUser)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +259,8 @@ func TestExecutionLengthCDFs(t *testing.T) {
 
 func TestTemporalProfile(t *testing.T) {
 	d, c := dataset(t)
-	p := d.Temporal()
+	fp := profile(t, d)
+	p := fp.Temporal
 	jobs, fails := 0, 0
 	for h := 0; h < 24; h++ {
 		jobs += p.JobsByHour[h]
@@ -292,9 +269,8 @@ func TestTemporalProfile(t *testing.T) {
 	if jobs != len(c.Jobs) {
 		t.Errorf("hourly jobs %d != %d", jobs, len(c.Jobs))
 	}
-	cls := d.ClassifyByExit()
-	if fails != cls.Failed {
-		t.Errorf("hourly fails %d != %d", fails, cls.Failed)
+	if fails != fp.Exit.Failed {
+		t.Errorf("hourly fails %d != %d", fails, fp.Exit.Failed)
 	}
 	// Diurnal pattern: night hours (modulated at 0.55) have fewer jobs.
 	night := p.JobsByHour[3]
@@ -345,8 +321,8 @@ func TestIOBehavior(t *testing.T) {
 
 func TestInterruptsByUser(t *testing.T) {
 	d, _ := dataset(t)
-	cls := d.ClassifyByExit()
-	res, err := d.InterruptsByUser(cls)
+	p := profile(t, d)
+	res, err := p.Interrupts, p.InterruptsErr
 	if err != nil {
 		t.Fatal(err)
 	}

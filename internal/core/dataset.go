@@ -385,39 +385,3 @@ type Summary struct {
 	FailedJobs  int
 	SuccessJobs int
 }
-
-// Summarize computes the Table-I style dataset summary.
-func (d *Dataset) Summarize() Summary {
-	s := Summary{
-		Days:      d.Days(),
-		Jobs:      len(d.Jobs),
-		Tasks:     len(d.Tasks),
-		IORecords: len(d.IO),
-	}
-	users := map[string]bool{}
-	projects := map[string]bool{}
-	// Core-hours accumulate as exact integer core-seconds (see
-	// joblog.Job.CoreSeconds) so the total matches the fused scan engine's
-	// sharded sum bit-for-bit regardless of summation order.
-	var coreSec int64
-	for i := range d.Jobs {
-		j := &d.Jobs[i]
-		users[j.User] = true
-		projects[j.Project] = true
-		coreSec += j.CoreSeconds()
-		if j.Outcome() == joblog.OutcomeSuccess {
-			s.SuccessJobs++
-		} else {
-			s.FailedJobs++
-		}
-	}
-	s.CoreHours = float64(coreSec) / 3600
-	s.Users = len(users)
-	s.Projects = len(projects)
-	// Severity tallies come straight from the partition indexes; no rescan.
-	s.RASTotal = len(d.Events)
-	s.RASFatal = len(d.fatalIdx)
-	s.RASWarn = len(d.warnIdx)
-	s.RASInfo = d.infoN
-	return s
-}

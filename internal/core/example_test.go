@@ -23,8 +23,12 @@ func Example() {
 		fmt.Println(err)
 		return
 	}
-	cls := d.ClassifyByExit()
-	fmt.Printf("user-caused share above 98%%: %v\n", cls.UserShare() > 0.98)
+	p, err := d.FusedScan(0)
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	fmt.Printf("user-caused share above 98%%: %v\n", p.Exit.UserShare() > 0.98)
 
 	mtti, err := d.MTTI(core.DefaultFilterRule())
 	if err != nil {

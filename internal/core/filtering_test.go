@@ -128,7 +128,7 @@ func TestFilterWindowMonotonicity(t *testing.T) {
 	windows := []time.Duration{
 		time.Minute, 5 * time.Minute, 20 * time.Minute, time.Hour, 6 * time.Hour,
 	}
-	sweep, err := FilterSweep(d.Events, DefaultFilterRule(), windows)
+	sweep, err := FilterSweep(d.Events, DefaultFilterRule(), windows, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,8 +214,9 @@ func TestMTTIOnCorpus(t *testing.T) {
 
 func TestLocalityOnCorpus(t *testing.T) {
 	d, _ := dataset(t)
+	p := profile(t, d)
 	for _, level := range []machine.Level{machine.LevelRack, machine.LevelMidplane} {
-		res, err := d.Locality(level)
+		res, err := p.Locality(level)
 		if err != nil {
 			t.Fatalf("%v: %v", level, err)
 		}
@@ -232,14 +233,14 @@ func TestLocalityOnCorpus(t *testing.T) {
 			}
 		}
 	}
-	if _, err := d.Locality(machine.LevelNode); err == nil {
+	if _, err := p.Locality(machine.LevelNode); err == nil {
 		t.Error("node-level locality should be rejected")
 	}
 }
 
 func TestProfileSums(t *testing.T) {
 	d, c := dataset(t)
-	p := d.Profile()
+	p := profile(t, d).RAS
 	if p.Total != len(c.Events) {
 		t.Errorf("profile total %d", p.Total)
 	}

@@ -81,7 +81,7 @@ func (d *Dataset) FitExecutionLengths(opt FitOptions) ([]FamilyFit, error) {
 		// One Sample per family: sorted once, sufficient statistics shared
 		// by every candidate fit and goodness-of-fit statistic.
 		sample := dist.NewSample(data)
-		results := dist.FitAllSampleParallel(sample, opt.Fitters, opt.Parallelism)
+		results := dist.FitAll(sample, opt.Fitters, opt.Parallelism)
 		if len(results) == 0 {
 			return nil, fmt.Errorf("core: no fit results for family %s", fam)
 		}

@@ -114,8 +114,8 @@ func TestSystemFamilyPresent(t *testing.T) {
 	// System-killed jobs' execution lengths are interruption-truncated;
 	// the family exists in the classification even if not fitted.
 	d, _ := dataset(t)
-	cls := d.ClassifyByExit()
-	if cls.ByFamily[joblog.FamilySystem] == 0 {
+	cls := profile(t, d).Exit
+	if cls.FamilyCount(joblog.FamilySystem) == 0 {
 		t.Error("no system-family failures in classification")
 	}
 }

@@ -9,10 +9,11 @@ import (
 )
 
 // FusedProfile is the result of one fused pass over the job and event
-// columns: every whole-corpus aggregate the hot experiments consume. One
-// FusedScan replaces the private full-corpus walks of Summarize,
-// ClassifyByExit/ClassifyJoint tallies, Aggregate (users and projects),
-// Profile, Temporal, Waste, Locality and InterruptsByUser.
+// columns: every whole-corpus aggregate the experiments and takeaways
+// consume — summary, exit-status and joint failure tallies, per-user and
+// per-project groups, temporal and RAS profiles, waste, interruptions and
+// FATAL locality. The reference walks these numbers are tested against live
+// in internal/oracle.
 type FusedProfile struct {
 	jv *scan.JobView
 	// jobSel is the cohort's job selection when the profile came from
@@ -21,11 +22,11 @@ type FusedProfile struct {
 
 	Summary Summary
 	// Exit and Joint are the exit-status-only and RAS-correlated failure
-	// tallies (the totals of ClassifyByExit / ClassifyJoint).
+	// tallies.
 	Exit  FailTally
 	Joint FailTally
-	// UserGroups / ProjectGroups are the per-key aggregates in Aggregate's
-	// order (jobs descending, key ascending).
+	// UserGroups / ProjectGroups are the per-key aggregates, jobs
+	// descending, key ascending.
 	UserGroups    []GroupStats
 	ProjectGroups []GroupStats
 	Temporal      *TemporalProfile
@@ -89,8 +90,7 @@ func (p *FusedProfile) Concentration(by GroupBy) (*ConcentrationResult, error) {
 
 // FusedScan runs every registered aggregation kernel over the job and event
 // column views in one pass each, fanned out over at most workers goroutines
-// (≤ 0 means GOMAXPROCS). Results are bit-identical to the legacy
-// per-analysis walks at any worker count.
+// (≤ 0 means GOMAXPROCS). Results are bit-identical at any worker count.
 func (d *Dataset) FusedScan(workers int) (*FusedProfile, error) {
 	jv := d.JobView()
 	ev := d.EventView()
@@ -149,10 +149,10 @@ func (d *Dataset) FusedScan(workers int) (*FusedProfile, error) {
 	return p, nil
 }
 
-// finishTemporal combines the job- and event-side temporal states into the
-// legacy profile. The legacy walk visits jobs first, then FATAL events, so
-// the month list is the job months in first-appearance order followed by
-// event-only months.
+// finishTemporal combines the job- and event-side temporal states into one
+// profile. The month list is the job months in first-appearance order
+// followed by event-only months, as a walk visiting jobs first and then
+// FATAL events would find them.
 func finishTemporal(js *temporalJobState, es *temporalEventState) *TemporalProfile {
 	p := &TemporalProfile{
 		JobsByHour:     js.jobsHour,

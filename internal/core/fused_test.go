@@ -9,82 +9,6 @@ import (
 	"repro/internal/scan"
 )
 
-// TestFusedScanMatchesLegacy pins the tentpole equivalence: every aggregate
-// the fused single-pass engine produces deep-equals the dedicated
-// per-analysis walk, at any worker count.
-func TestFusedScanMatchesLegacy(t *testing.T) {
-	d, _ := dataset(t)
-	cls := d.ClassifyByExit()
-	joint := d.ClassifyJoint(DefaultJointOptions())
-	for _, workers := range []int{1, 4} {
-		p, err := d.FusedScan(workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if got, want := p.Summary, d.Summarize(); !reflect.DeepEqual(got, want) {
-			t.Errorf("workers=%d: summary: fused %+v, legacy %+v", workers, got, want)
-		}
-		if got, want := p.Exit, TallyOf(cls); got != want {
-			t.Errorf("workers=%d: exit tally: fused %+v, legacy %+v", workers, got, want)
-		}
-		if got, want := p.Joint, TallyOf(joint); got != want {
-			t.Errorf("workers=%d: joint tally: fused %+v, legacy %+v", workers, got, want)
-		}
-		for _, by := range []GroupBy{ByUser, ByProject} {
-			if got, want := p.Groups(by), d.Aggregate(by, cls); !reflect.DeepEqual(got, want) {
-				t.Errorf("workers=%d: groups by %s differ", workers, by)
-			}
-			got, err := p.Concentration(by)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := d.Concentration(by, cls)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("workers=%d: concentration by %s: fused %+v, legacy %+v", workers, by, got, want)
-			}
-		}
-		if got, want := p.Temporal, d.Temporal(); !reflect.DeepEqual(got, want) {
-			t.Errorf("workers=%d: temporal profile differs", workers)
-		}
-		if got, want := p.RAS, d.Profile(); !reflect.DeepEqual(got, want) {
-			t.Errorf("workers=%d: RAS profile differs", workers)
-		}
-		{
-			got := p.Waste
-			want, err := d.Waste(cls)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("workers=%d: waste: fused %+v, legacy %+v", workers, got, want)
-			}
-		}
-		{
-			got, gotErr := p.Interrupts, p.InterruptsErr
-			want, wantErr := d.InterruptsByUser(cls)
-			if (gotErr == nil) != (wantErr == nil) {
-				t.Fatalf("workers=%d: interrupts err: fused %v, legacy %v", workers, gotErr, wantErr)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("workers=%d: interrupts: fused %+v, legacy %+v", workers, got, want)
-			}
-		}
-		for _, level := range []machine.Level{machine.LevelMidplane, machine.LevelRack} {
-			got, gotErr := p.Locality(level)
-			want, wantErr := d.Locality(level)
-			if (gotErr == nil) != (wantErr == nil) {
-				t.Fatalf("workers=%d: locality %v err: fused %v, legacy %v", workers, level, gotErr, wantErr)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("workers=%d: locality at %v differs", workers, level)
-			}
-		}
-	}
-}
-
 // TestFilterCachedMatchesPlain pins the interned-key coalesce to the plain
 // map-based pass: identical incidents for the default rule at several
 // windows, for both severities, plus the non-default-key fallback.
@@ -135,50 +59,6 @@ func TestFilterCachedMatchesPlain(t *testing.T) {
 	}
 	if _, err := d.FilterFatalCached(FilterRule{Window: -1}); err == nil {
 		t.Error("invalid rule accepted")
-	}
-}
-
-// TestLeadTimeSweepMatchesLeadTime pins the E16 sweep: evaluating several
-// lookbacks over one filtering pass matches the one-option path exactly.
-func TestLeadTimeSweepMatchesLeadTime(t *testing.T) {
-	d, _ := dataset(t)
-	rule := DefaultFilterRule()
-	fatals, err := d.FilterFatal(rule)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warns, err := d.FilterWarn(rule)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lookbacks := []time.Duration{time.Hour, 6 * time.Hour, 12 * time.Hour, 24 * time.Hour}
-	opts := make([]LeadTimeOptions, len(lookbacks))
-	for i, lb := range lookbacks {
-		opts[i] = DefaultLeadTimeOptions()
-		opts[i].Lookback = lb
-	}
-	swept, err := LeadTimeSweep(fatals, warns, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, opt := range opts {
-		want, err := d.LeadTime(rule, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(swept[i], want) {
-			t.Errorf("lookback %v: sweep %+v, single %+v", lookbacks[i], swept[i], want)
-		}
-	}
-	if _, err := LeadTimeSweep(fatals, warns, nil); err == nil {
-		t.Error("empty option list accepted")
-	}
-	mixed := []LeadTimeOptions{
-		{Lookback: time.Hour, Level: machine.LevelRack},
-		{Lookback: time.Hour, Level: machine.LevelNode},
-	}
-	if _, err := LeadTimeSweep(fatals, warns, mixed); err == nil {
-		t.Error("mixed spatial levels accepted")
 	}
 }
 

@@ -153,7 +153,7 @@ func TestFilterSweepMatchesReference(t *testing.T) {
 			want[i].Reduction = 1 - float64(len(incidents))/float64(raw)
 		}
 	}
-	got, err := FilterSweep(d.Events, base, windows)
+	got, err := FilterSweep(d.Events, base, windows, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestFilterSweepMatchesReference(t *testing.T) {
 
 func TestFilterSweepRejectsBadWindow(t *testing.T) {
 	d, _ := dataset(t)
-	if _, err := FilterSweep(d.Events, DefaultFilterRule(), []time.Duration{time.Minute, 0}); err == nil {
+	if _, err := FilterSweep(d.Events, DefaultFilterRule(), []time.Duration{time.Minute, 0}, 0); err == nil {
 		t.Error("sweep accepted a non-positive window")
 	}
 }
@@ -206,9 +206,9 @@ func TestSeverityViewsPartition(t *testing.T) {
 			info++
 		}
 	}
-	s := d.Summarize()
+	s := profile(t, d).Summary
 	if s.RASFatal != len(fatal) || s.RASWarn != len(warn) || s.RASInfo != info || s.RASTotal != len(d.Events) {
-		t.Fatalf("Summarize severity tallies (%d/%d/%d/%d) disagree with views (%d/%d/%d/%d)",
+		t.Fatalf("summary severity tallies (%d/%d/%d/%d) disagree with views (%d/%d/%d/%d)",
 			s.RASFatal, s.RASWarn, s.RASInfo, s.RASTotal, len(fatal), len(warn), info, len(d.Events))
 	}
 }

@@ -28,8 +28,8 @@ var familySystemCode = joblog.FamilyCode(joblog.FamilySystem)
 
 // FailTally is the flat (map-free) failure-classification summary the fused
 // kernels produce: corpus totals plus per-family failure counts indexed by
-// dense family code. It carries the same numbers as Classification without
-// the per-job cause map.
+// dense family code. It carries the corpus totals of a per-job
+// classification without the per-job cause map.
 type FailTally struct {
 	Total       int
 	Failed      int
@@ -53,24 +53,10 @@ func (t *FailTally) FamilyCount(f joblog.ExitFamily) int {
 	return t.ByFamily[joblog.FamilyCode(f)]
 }
 
-// TallyOf flattens a Classification into a FailTally.
-func TallyOf(c *Classification) FailTally {
-	t := FailTally{
-		Total:       c.Total,
-		Failed:      c.Failed,
-		UserCaused:  c.UserCaused,
-		SystemCause: c.SystemCause,
-	}
-	for _, f := range joblog.FailureFamilies() {
-		t.ByFamily[joblog.FamilyCode(f)] = c.ByFamily[f]
-	}
-	return t
-}
-
 // ---------------------------------------------------------------------------
 // Job kernels
 
-// summaryKernel feeds Summarize: core-second total plus outcome counts.
+// summaryKernel feeds the Summary: core-second total plus outcome counts.
 type summaryKernel struct{}
 
 func (summaryKernel) Name() string       { return "summary" }
@@ -106,7 +92,7 @@ func (s *summaryState) Merge(other JobState) {
 	s.failed += o.failed
 }
 
-// exitTallyKernel feeds ClassifyByExit consumers: the exit-status-only
+// exitTallyKernel feeds FusedProfile.Exit: the exit-status-only
 // failure tally (scheduler-reserved statuses are system-caused).
 type exitTallyKernel struct{}
 
@@ -145,7 +131,7 @@ func (s *exitTallyState) Merge(other JobState) {
 	}
 }
 
-// jointKernel feeds ClassifyJoint consumers: the RAS-correlated tally. The
+// jointKernel feeds FusedProfile.Joint: the RAS-correlated tally. The
 // kernel precomputes the block-attributable FATAL streams once (locations at
 // rack level or finer, their times, and the directly attributed job ids) so
 // each shard only binary-searches the times array.
@@ -252,11 +238,11 @@ func (s *jointState) Merge(other JobState) {
 	}
 }
 
-// groupKernel feeds Aggregate/Concentration/InterruptsByUser: dense per-key
-// job, failure, system-failure and core-second tallies over the user or
-// project dictionary. System attribution follows the exit-status
-// classification (family "system"), matching the classification the
-// experiments pass to the legacy aggregators.
+// groupKernel feeds the per-user/per-project groups, their concentration
+// and the interruption correlation: dense per-key job, failure,
+// system-failure and core-second tallies over the user or project
+// dictionary. System attribution follows the exit-status classification
+// (family "system").
 type groupKernel struct {
 	by GroupBy
 	n  int // dictionary size
@@ -314,8 +300,7 @@ func (s *groupState) Merge(other JobState) {
 	}
 }
 
-// finish converts the dense tallies into the legacy sorted GroupStats
-// view. Keys with no jobs are skipped: a whole-corpus scan never produces
+// finish converts the dense tallies into the sorted GroupStats view. Keys with no jobs are skipped: a whole-corpus scan never produces
 // one (the dictionary is built from the jobs), and in a cohort scan the
 // skip makes the group list match a materialized dataset's smaller
 // dictionary.
@@ -375,7 +360,7 @@ func (s *wasteState) Merge(other JobState) {
 	}
 }
 
-// finish assembles the legacy WasteResult. Under the exit-status
+// finish assembles the WasteResult. Under the exit-status
 // classification system-caused waste is exactly the "system" family's.
 func (s *wasteState) finish() *WasteResult {
 	res := &WasteResult{TotalCoreHours: float64(s.totalCS) / 3600}
@@ -466,7 +451,7 @@ type temporalJobState struct {
 	months []int32
 	mJobs  []int
 	mFails []int
-	// jobsDay grows to the last day seen, like the legacy profile.
+	// jobsDay grows to the last day seen.
 	jobsDay []int
 }
 
@@ -544,7 +529,7 @@ func (s *temporalJobState) Merge(other JobState) {
 // ---------------------------------------------------------------------------
 // Event kernels
 
-// profileKernel feeds Profile: dense severity/category/component tallies.
+// profileKernel feeds FusedProfile.RAS: dense severity/category/component tallies.
 type profileKernel struct {
 	nCats, nComps int
 }
@@ -682,7 +667,7 @@ func (s *temporalEventState) Merge(other EventState) {
 	}
 }
 
-// localityKernel feeds Locality: dense FATAL counts per midplane or rack.
+// localityKernel feeds FusedProfile.Locality: dense FATAL counts per midplane or rack.
 type localityKernel struct {
 	level machine.Level
 }

@@ -42,25 +42,6 @@ type LeadTimeResult struct {
 	Precision  float64
 }
 
-// LeadTime coalesces WARN and FATAL streams into bursts/incidents with the
-// filtering rule and measures precursor coverage, lead time and alarm
-// precision at the chosen spatial level.
-func (d *Dataset) LeadTime(rule FilterRule, opt LeadTimeOptions) (*LeadTimeResult, error) {
-	fatals, err := d.FilterFatal(rule)
-	if err != nil {
-		return nil, err
-	}
-	warns, err := d.FilterWarn(rule)
-	if err != nil {
-		return nil, err
-	}
-	rs, err := LeadTimeSweep(fatals, warns, []LeadTimeOptions{opt})
-	if err != nil {
-		return nil, err
-	}
-	return rs[0], nil
-}
-
 // LeadTimeSweep evaluates the precursor analysis over pre-filtered FATAL
 // incidents and WARN bursts for several lookback windows at once. The
 // nearest-preceding-burst search and the per-burst next-incident gap are

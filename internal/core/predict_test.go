@@ -51,7 +51,7 @@ func TestLeadTimeScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := d.LeadTime(DefaultFilterRule(), DefaultLeadTimeOptions())
+	res, err := leadTime(d, DefaultFilterRule(), DefaultLeadTimeOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestLeadTimeLookbackTooShort(t *testing.T) {
 	}
 	opt := DefaultLeadTimeOptions()
 	opt.Lookback = 30 * time.Minute // precursor is 2h before: missed
-	res, err := d.LeadTime(DefaultFilterRule(), opt)
+	res, err := leadTime(d, DefaultFilterRule(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestLeadTimeDefaultsOnBadOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := d.LeadTime(DefaultFilterRule(), LeadTimeOptions{})
+	res, err := leadTime(d, DefaultFilterRule(), LeadTimeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestLeadTimeDefaultsOnBadOptions(t *testing.T) {
 
 func TestLeadTimeOnCorpus(t *testing.T) {
 	d, _ := dataset(t)
-	res, err := d.LeadTime(DefaultFilterRule(), DefaultLeadTimeOptions())
+	res, err := leadTime(d, DefaultFilterRule(), DefaultLeadTimeOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,6 +136,24 @@ func TestLeadTimeOnCorpus(t *testing.T) {
 	if res.Precision <= 0 || res.Precision > 0.5 {
 		t.Errorf("precision = %v", res.Precision)
 	}
+}
+
+// leadTime runs the precursor analysis for one option the way E16 does:
+// the cached default-key filters, then the lookback sweep.
+func leadTime(d *Dataset, rule FilterRule, opt LeadTimeOptions) (*LeadTimeResult, error) {
+	fatals, err := d.FilterFatalCached(rule)
+	if err != nil {
+		return nil, err
+	}
+	warns, err := d.FilterWarnCached(rule)
+	if err != nil {
+		return nil, err
+	}
+	rs, err := LeadTimeSweep(fatals, warns, []LeadTimeOptions{opt})
+	if err != nil {
+		return nil, err
+	}
+	return rs[0], nil
 }
 
 // testJobsForEvents fabricates a minimal job list so NewDataset accepts the

@@ -69,7 +69,11 @@ func TestScheduling(t *testing.T) {
 
 func TestLifePhases(t *testing.T) {
 	d, c := dataset(t)
-	phases, err := d.LifePhases(6, DefaultFilterRule())
+	mtti, err := d.MTTI(DefaultFilterRule())
+	if err != nil {
+		t.Fatal(err)
+	}
+	phases, err := d.LifePhasesFromMTTI(6, mtti)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,10 +94,6 @@ func TestLifePhases(t *testing.T) {
 	if totalJobs != len(c.Jobs) {
 		t.Errorf("phases cover %d of %d jobs", totalJobs, len(c.Jobs))
 	}
-	mtti, err := d.MTTI(DefaultFilterRule())
-	if err != nil {
-		t.Fatal(err)
-	}
 	if totalInterrupts != mtti.Interruptions {
 		t.Errorf("phase interrupts %d != %d", totalInterrupts, mtti.Interruptions)
 	}
@@ -110,21 +110,22 @@ func TestLifePhases(t *testing.T) {
 
 func TestLifePhasesErrors(t *testing.T) {
 	d, _ := dataset(t)
-	if _, err := d.LifePhases(1, DefaultFilterRule()); err == nil {
+	mtti, err := d.MTTI(DefaultFilterRule())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.LifePhasesFromMTTI(1, mtti); err == nil {
 		t.Error("n=1 accepted")
 	}
-	if _, err := d.LifePhases(4, FilterRule{}); err == nil {
+	if _, err := d.MTTI(FilterRule{}); err == nil {
 		t.Error("invalid rule accepted")
 	}
 }
 
 func TestWaste(t *testing.T) {
-	d, c := dataset(t)
-	cls := d.ClassifyByExit()
-	w, err := d.Waste(cls)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d, _ := dataset(t)
+	p := profile(t, d)
+	w := p.Waste
 	if w.TotalCoreHours <= 0 || w.WastedCoreHours <= 0 {
 		t.Fatalf("degenerate waste: %+v", w)
 	}
@@ -143,8 +144,8 @@ func TestWaste(t *testing.T) {
 	if famSum < w.WastedCoreHours*0.999 || famSum > w.WastedCoreHours*1.001 {
 		t.Errorf("family sum %v != wasted %v", famSum, w.WastedCoreHours)
 	}
-	if famJobs != cls.Failed {
-		t.Errorf("family jobs %d != failed %d", famJobs, cls.Failed)
+	if famJobs != p.Exit.Failed {
+		t.Errorf("family jobs %d != failed %d", famJobs, p.Exit.Failed)
 	}
 	// Rows sorted by descending core-hours.
 	for i := 1; i < len(w.ByFamily); i++ {
@@ -155,9 +156,5 @@ func TestWaste(t *testing.T) {
 	// Sanity: the corpus wastes a meaningful but bounded share.
 	if w.WastedShare < 0.05 || w.WastedShare > 0.6 {
 		t.Errorf("wasted share %v implausible", w.WastedShare)
-	}
-	_ = c
-	if _, err := d.Waste(nil); err == nil {
-		t.Error("nil classification accepted")
 	}
 }

@@ -20,16 +20,22 @@ type Takeaway struct {
 
 // Takeaways runs the full joint analysis and renders the paper's 22
 // takeaways with the corpus' measured values. The wording follows the
-// paper's findings; every number is computed, not quoted.
+// paper's findings; every number is computed, not quoted. The whole-corpus
+// aggregates (summary, failure tallies, concentration, locality, RAS and
+// temporal profiles, interruptions) come from one fused scan; fits, MTTI,
+// structure trends, I/O and the execution-length CDFs from their own
+// analyses.
 func (d *Dataset) Takeaways() ([]Takeaway, error) {
-	sum := d.Summarize()
-	cls := d.ClassifyByExit()
-	joint := d.ClassifyJoint(DefaultJointOptions())
-	userConc, err := d.Concentration(ByUser, cls)
+	p, err := d.FusedScan(0)
 	if err != nil {
 		return nil, fmt.Errorf("core: takeaways: %w", err)
 	}
-	projConc, err := d.Concentration(ByProject, cls)
+	sum, cls, joint := p.Summary, p.Exit, p.Joint
+	userConc, err := p.Concentration(ByUser)
+	if err != nil {
+		return nil, fmt.Errorf("core: takeaways: %w", err)
+	}
+	projConc, err := p.Concentration(ByProject)
 	if err != nil {
 		return nil, fmt.Errorf("core: takeaways: %w", err)
 	}
@@ -41,12 +47,11 @@ func (d *Dataset) Takeaways() ([]Takeaway, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: takeaways: %w", err)
 	}
-	locality, err := d.Locality(machine.LevelMidplane)
+	locality, err := p.Locality(machine.LevelMidplane)
 	if err != nil {
 		return nil, fmt.Errorf("core: takeaways: %w", err)
 	}
-	profile := d.Profile()
-	temporal := d.Temporal()
+	profile, temporal := p.RAS, p.Temporal
 	scale, err := d.FailureByStructure(DimNodes)
 	if err != nil {
 		return nil, fmt.Errorf("core: takeaways: %w", err)
@@ -56,7 +61,7 @@ func (d *Dataset) Takeaways() ([]Takeaway, error) {
 		return nil, fmt.Errorf("core: takeaways: %w", err)
 	}
 	ioCorr, ioErr := d.IOBehavior()
-	interrupts, err := d.InterruptsByUser(cls)
+	interrupts, err := p.Interrupts, p.InterruptsErr
 	if err != nil {
 		return nil, fmt.Errorf("core: takeaways: %w", err)
 	}

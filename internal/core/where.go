@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"repro/internal/bitmap"
-	"repro/internal/joblog"
 	"repro/internal/machine"
 	"repro/internal/raslog"
 	"repro/internal/scan"
@@ -15,8 +14,10 @@ import (
 // selects, without materializing a filtered dataset: the compiled job and
 // event selections push down into the scan engine, which skips unselected
 // blocks and feeds the kernels only the selected row runs. The profile is
-// bit-identical to FusedScan over MaterializeWhere(e) — same numbers a
-// filter-then-scan would produce — at any worker count (DESIGN.md §14).
+// bit-identical to a FusedScan over the materialized cohort — the same
+// numbers a filter-then-scan would produce — at any worker count (the
+// equivalence tests check it against oracle.MaterializeWhere; DESIGN.md
+// §14).
 //
 // A nil predicate profiles the whole corpus.
 func (d *Dataset) FusedScanWhere(e sel.Expr, workers int) (*FusedProfile, error) {
@@ -171,45 +172,4 @@ func forEachSelected(sel *bitmap.Bitmap, n int, f func(row int)) {
 		f(int(row))
 		return true
 	})
-}
-
-// MaterializeWhere builds the filtered dataset a predicate describes: the
-// selected jobs with their tasks and I/O records, and the selected events.
-// It is the reference (copy) path FusedScanWhere makes unnecessary — kept
-// for the equivalence suite, the cohort benchmarks, and callers that need
-// a real Dataset to hand to non-fused analyses.
-func (d *Dataset) MaterializeWhere(e sel.Expr) (*Dataset, error) {
-	jobSel, eventSel, err := d.CompileWhere(e)
-	if err != nil {
-		return nil, err
-	}
-	return d.materializeSel(jobSel, eventSel)
-}
-
-func (d *Dataset) materializeSel(jobSel, eventSel *bitmap.Bitmap) (*Dataset, error) {
-	jobs := d.Jobs
-	tasks := d.Tasks
-	io := d.IO
-	if jobSel != nil {
-		jobs = make([]joblog.Job, 0, jobSel.Cardinality())
-		tasks = nil
-		io = nil
-		jobSel.Iterate(func(row uint32) bool {
-			jobs = append(jobs, d.Jobs[row])
-			tasks = append(tasks, d.tasksOf[row]...)
-			if p := d.ioOf[row]; p >= 0 {
-				io = append(io, d.IO[p])
-			}
-			return true
-		})
-	}
-	events := d.Events
-	if eventSel != nil {
-		events = make([]raslog.Event, 0, eventSel.Cardinality())
-		eventSel.Iterate(func(row uint32) bool {
-			events = append(events, d.Events[row])
-			return true
-		})
-	}
-	return NewDataset(jobs, tasks, events, io)
 }

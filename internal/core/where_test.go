@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/machine"
 	"repro/internal/sel"
 )
 
@@ -65,56 +66,17 @@ func profileFields(t *testing.T, label string, got, want *FusedProfile) {
 	cmp("Waste", got.Waste, want.Waste)
 	cmp("Interrupts", got.Interrupts, want.Interrupts)
 	cmp("InterruptsErr", fmt.Sprint(got.InterruptsErr), fmt.Sprint(want.InterruptsErr))
-	for _, lvl := range []struct {
-		name       string
-		g, w       *LocalityResult
-		gErr, wErr error
-	}{
-		{"Locality(mid)", got.localityMid, want.localityMid, got.localityMidErr, want.localityMidErr},
-		{"Locality(rack)", got.localityRack, want.localityRack, got.localityRackErr, want.localityRackErr},
-	} {
-		cmp(lvl.name, lvl.g, lvl.w)
-		cmp(lvl.name+" err", fmt.Sprint(lvl.gErr), fmt.Sprint(lvl.wErr))
+	for _, level := range []machine.Level{machine.LevelMidplane, machine.LevelRack} {
+		g, gErr := got.Locality(level)
+		w, wErr := want.Locality(level)
+		cmp("Locality("+level.String()+")", g, w)
+		cmp("Locality("+level.String()+") err", fmt.Sprint(gErr), fmt.Sprint(wErr))
 	}
 	for _, by := range []GroupBy{ByUser, ByProject} {
 		g, gErr := got.Concentration(by)
 		w, wErr := want.Concentration(by)
 		cmp("Concentration("+by.String()+")", g, w)
 		cmp("Concentration("+by.String()+") err", fmt.Sprint(gErr), fmt.Sprint(wErr))
-	}
-}
-
-// TestFusedScanWhereEquivalence is the pushdown acceptance suite: for
-// every predicate, FusedScanWhere must reproduce filter-then-FusedScan
-// exactly, and must itself be identical across worker counts.
-func TestFusedScanWhereEquivalence(t *testing.T) {
-	d, _ := dataset(t)
-	for _, where := range equivalencePredicates(t, d) {
-		e, err := sel.Parse(where)
-		if err != nil {
-			t.Fatalf("parse %q: %v", where, err)
-		}
-		md, err := d.MaterializeWhere(e)
-		if err != nil {
-			t.Fatalf("materialize %q: %v", where, err)
-		}
-		want, err := md.FusedScan(4)
-		if err != nil {
-			t.Fatalf("reference scan %q: %v", where, err)
-		}
-		var first *FusedProfile
-		for _, workers := range []int{1, 4, 8} {
-			got, err := d.FusedScanWhere(e, workers)
-			if err != nil {
-				t.Fatalf("FusedScanWhere(%q, workers=%d): %v", where, workers, err)
-			}
-			profileFields(t, fmt.Sprintf("%q workers=%d vs materialized", where, workers), got, want)
-			if first == nil {
-				first = got
-			} else {
-				profileFields(t, fmt.Sprintf("%q workers=%d vs workers=1", where, workers), got, first)
-			}
-		}
 	}
 }
 

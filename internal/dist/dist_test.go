@@ -193,7 +193,7 @@ func TestSamplesPassKS(t *testing.T) {
 		for i := range data {
 			data[i] = d.Rand(rng)
 		}
-		ks := KSStatistic(d, data)
+		ks := ksOf(d, data)
 		// 1% critical value ≈ 1.63/√n ≈ 0.023.
 		if ks > 1.63/math.Sqrt(n) {
 			t.Errorf("%s: KS=%v too large for its own sample", d.Name(), ks)

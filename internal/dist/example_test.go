@@ -21,7 +21,7 @@ func ExampleSelectBest() {
 	for i := range data {
 		data[i] = truth.Rand(rng)
 	}
-	best, err := dist.SelectBest(data, nil)
+	best, err := dist.SelectBest(dist.NewSample(data), nil)
 	if err != nil {
 		fmt.Println(err)
 		return
@@ -66,8 +66,9 @@ func ExampleKSPolish() {
 	}
 	// Deliberately wrong starting point.
 	start, _ := dist.NewExponential(0.01)
-	startKS := dist.KSStatistic(start, data)
-	_, polishedKS, err := dist.KSPolish(start, data, 0)
+	s := dist.NewSample(data)
+	startKS := s.KSStatistic(start)
+	_, polishedKS, err := dist.KSPolish(start, s, 0)
 	if err != nil {
 		fmt.Println(err)
 		return

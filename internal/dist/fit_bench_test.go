@@ -163,10 +163,24 @@ func legacyWeibullFit(data []float64) (dist.Distribution, error) {
 }
 
 // legacyFitAll composes the slice APIs per family: per-statistic copy+sort
-// (KSStatistic, ADStatistic) and per-criterion likelihood scans (LogL, AIC,
-// BIC), serially, with the same ranking as FitAll. The Erlang and Weibull
+// (legacyKS, legacyAD) and per-criterion likelihood scans (LogL, AIC, BIC),
+// serially, with the same ranking as FitAll. The Erlang and Weibull
 // fits — the two whose estimators the Sample path restructured — use
 // faithful reconstructions of the pre-Sample algorithms.
+// legacyKS and legacyAD are the pre-Sample statistics: each copies and
+// sorts the data before evaluating the sorted core.
+func legacyKS(d dist.Distribution, data []float64) float64 {
+	sorted := append([]float64(nil), data...)
+	sort.Float64s(sorted)
+	return dist.KSStatisticSorted(d, sorted)
+}
+
+func legacyAD(d dist.Distribution, data []float64) float64 {
+	sorted := append([]float64(nil), data...)
+	sort.Float64s(sorted)
+	return dist.ADStatisticSorted(d, sorted)
+}
+
 func legacyFitAll(data []float64) []dist.FitResult {
 	fitters := dist.DefaultFitters()
 	results := make([]dist.FitResult, len(fitters))
@@ -190,8 +204,8 @@ func legacyFitAll(data []float64) []dist.FitResult {
 			continue
 		}
 		r.Dist = d
-		r.KS = dist.KSStatistic(d, data)
-		r.AD = dist.ADStatistic(d, data)
+		r.KS = legacyKS(d, data)
+		r.AD = legacyAD(d, data)
 		r.PValue = dist.KolmogorovPValue(r.KS, len(data))
 		r.LogL = dist.LogLikelihood(d, data)
 		r.AIC = dist.AIC(d, data)
@@ -272,7 +286,7 @@ func legacySelectAndPolish(b testing.TB, data []float64) float64 {
 
 func sampleSelectAndPolish(b testing.TB, data []float64) float64 {
 	s := dist.NewSample(data)
-	results := dist.FitAllSampleParallel(s, nil, 1)
+	results := dist.FitAll(s, nil, 1)
 	best := results[0]
 	if best.Err != nil {
 		b.Fatal(best.Err)
@@ -281,7 +295,7 @@ func sampleSelectAndPolish(b testing.TB, data []float64) float64 {
 	if !ok {
 		return best.KS
 	}
-	_, ks, err := dist.KSPolishSample(p, s, 20)
+	_, ks, err := dist.KSPolish(p, s, 20)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -329,7 +343,7 @@ func BenchmarkFitSample(b *testing.B) {
 func TestLegacyAndSamplePathsAgree(t *testing.T) {
 	data := benchSeries(t)
 	legacy := legacyFitAll(data)
-	viaSample := dist.FitAllSampleParallel(dist.NewSample(data), nil, 1)
+	viaSample := dist.FitAll(dist.NewSample(data), nil, 1)
 	if legacy[0].Family != viaSample[0].Family {
 		t.Fatalf("winners differ: legacy %s, sample %s", legacy[0].Family, viaSample[0].Family)
 	}

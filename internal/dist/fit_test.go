@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -180,7 +181,7 @@ func TestModelSelectionIdentifiesTrueFamily(t *testing.T) {
 	}
 	for i, truth := range cases {
 		data := sampleFrom(truth, n, int64(100+i))
-		best, err := SelectBest(data, nil)
+		best, err := SelectBest(NewSample(data), nil)
 		if err != nil {
 			t.Fatalf("%s: %v", truth.Name(), err)
 		}
@@ -202,7 +203,7 @@ func TestModelSelectionIdentifiesTrueFamily(t *testing.T) {
 func TestFitAllRanksErrorsLast(t *testing.T) {
 	// Sample with a zero: positive-support fitters fail, normal succeeds.
 	data := []float64{0, 1, 2, 3, 4, 5}
-	results := FitAll(data, []Fitter{ParetoFitter{}, NormalFitter{}})
+	results := FitAll(NewSample(data), []Fitter{ParetoFitter{}, NormalFitter{}}, 0)
 	if len(results) != 2 {
 		t.Fatalf("len = %d", len(results))
 	}
@@ -216,18 +217,18 @@ func TestFitAllRanksErrorsLast(t *testing.T) {
 
 func TestKSStatisticProperties(t *testing.T) {
 	e, _ := NewExponential(1)
-	if !math.IsNaN(KSStatistic(e, nil)) {
+	if !math.IsNaN(ksOf(e, nil)) {
 		t.Error("KS of empty sample should be NaN")
 	}
 	// Perfectly wrong model: all mass below support.
 	p, _ := NewPareto(100, 2)
 	small := []float64{1, 2, 3}
-	if ks := KSStatistic(p, small); ks < 0.99 {
+	if ks := ksOf(p, small); ks < 0.99 {
 		t.Errorf("KS against disjoint support = %v, want ≈1", ks)
 	}
 	// KS is in [0,1].
 	data := sampleFrom(e, 100, 11)
-	if ks := KSStatistic(e, data); ks < 0 || ks > 1 {
+	if ks := ksOf(e, data); ks < 0 || ks > 1 {
 		t.Errorf("KS out of range: %v", ks)
 	}
 }
@@ -266,6 +267,17 @@ func TestParamString(t *testing.T) {
 	}
 }
 
+// ksOf and adOf evaluate the goodness-of-fit statistics over unsorted
+// data: copy and sort, then the allocation-free sorted cores.
+func ksOf(d Distribution, data []float64) float64 { return KSStatisticSorted(d, sortedCopy(data)) }
+func adOf(d Distribution, data []float64) float64 { return ADStatisticSorted(d, sortedCopy(data)) }
+
+func sortedCopy(data []float64) []float64 {
+	s := append([]float64(nil), data...)
+	sort.Float64s(s)
+	return s
+}
+
 func mustAny[D Distribution](d D, err error) Distribution {
 	if err != nil {
 		panic(err)
@@ -275,11 +287,11 @@ func mustAny[D Distribution](d D, err error) Distribution {
 
 func TestADStatistic(t *testing.T) {
 	e, _ := NewExponential(0.5)
-	if !math.IsNaN(ADStatistic(e, nil)) {
+	if !math.IsNaN(adOf(e, nil)) {
 		t.Error("empty AD should be NaN")
 	}
 	data := sampleFrom(e, 5000, 51)
-	ad := ADStatistic(e, data)
+	ad := adOf(e, data)
 	// Under the true model A² concentrates near its asymptotic mean 1; the
 	// 1% critical value is ≈3.9.
 	if ad < 0 || ad > 3.9 {
@@ -287,12 +299,12 @@ func TestADStatistic(t *testing.T) {
 	}
 	// A wrong model has a much larger A².
 	wrong, _ := NewExponential(2.5)
-	if adWrong := ADStatistic(wrong, data); adWrong < 10*ad {
+	if adWrong := adOf(wrong, data); adWrong < 10*ad {
 		t.Errorf("AD should expose the wrong rate: %v vs %v", adWrong, ad)
 	}
 	// Support violation: point below Pareto xm → +Inf.
 	p, _ := NewPareto(10, 2)
-	if !math.IsInf(ADStatistic(p, []float64{5, 20}), 1) {
+	if !math.IsInf(adOf(p, []float64{5, 20}), 1) {
 		t.Error("out-of-support AD should be +Inf")
 	}
 }
@@ -300,7 +312,7 @@ func TestADStatistic(t *testing.T) {
 func TestFitAllReportsAD(t *testing.T) {
 	truth, _ := NewWeibull(0.62, 2100)
 	data := sampleFrom(truth, 4000, 52)
-	results := FitAll(data, nil)
+	results := FitAll(NewSample(data), nil, 0)
 	if results[0].Family != "weibull" {
 		t.Fatalf("winner %s", results[0].Family)
 	}

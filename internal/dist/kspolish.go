@@ -4,29 +4,19 @@ import (
 	"fmt"
 )
 
-// KSPolish refines a fitted distribution by coordinate descent on the
-// one-sample KS statistic: each parameter is perturbed multiplicatively
-// (or additively when near zero) with a shrinking step until no move
-// improves the fit. This is the "KS-minimizing parameter search" baseline
-// the design contrasts against plain MLE — it usually buys a slightly
-// smaller KS at a much higher cost and with no likelihood guarantees.
+// KSPolish refines a fitted distribution by coordinate descent on
+// the one-sample KS statistic over a Sample: each parameter is perturbed
+// multiplicatively (or additively when near zero) with a shrinking step
+// until no move improves the fit; iters bounds the outer sweeps (0 means
+// 40). This is the "KS-minimizing parameter search" baseline the design
+// contrasts against plain MLE — it usually buys a slightly smaller KS at a
+// much higher cost and with no likelihood guarantees.
 //
-// KSPolish is a compatibility wrapper that sorts the data once (via a
-// Sample) and delegates to KSPolishSample; iters bounds the outer sweeps
-// (0 means 40).
-func KSPolish(d Parametric, data []float64, iters int) (Distribution, float64, error) {
-	if len(data) == 0 {
-		return nil, 0, fmt.Errorf("dist: ks polish: %w", ErrTooFewPoints)
-	}
-	return KSPolishSample(d, NewSample(data), iters)
-}
-
-// KSPolishSample is KSPolish over a precomputed Sample: the coordinate
-// descent evaluates every candidate through the sample's memoized collapsed
-// ECDF (one CDF evaluation per distinct value rather than per point), with a
+// Every candidate is evaluated through the sample's memoized collapsed ECDF
+// (one CDF evaluation per distinct value rather than per point), with a
 // single reusable candidate buffer instead of one allocation per
 // perturbation.
-func KSPolishSample(d Parametric, s *Sample, iters int) (Distribution, float64, error) {
+func KSPolish(d Parametric, s *Sample, iters int) (Distribution, float64, error) {
 	if s.N() == 0 {
 		return nil, 0, fmt.Errorf("dist: ks polish: %w", ErrTooFewPoints)
 	}
@@ -107,7 +97,7 @@ func (f KSPolishFitter) FitSample(s *Sample) (Distribution, error) {
 	if !ok {
 		return d, nil
 	}
-	polished, _, err := KSPolishSample(p, s, f.Iters)
+	polished, _, err := KSPolish(p, s, f.Iters)
 	if err != nil {
 		return nil, err
 	}

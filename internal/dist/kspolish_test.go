@@ -69,8 +69,8 @@ func TestKSPolishImprovesOrMatchesMLE(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mleKS := KSStatistic(mle, data)
-	polished, polishedKS, err := KSPolish(mle.(Parametric), data, 0)
+	mleKS := ksOf(mle, data)
+	polished, polishedKS, err := KSPolish(mle.(Parametric), NewSample(data), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestKSPolishImprovesOrMatchesMLE(t *testing.T) {
 		t.Errorf("polished params drifted: %+v", w)
 	}
 	// Reported KS matches an independent computation.
-	if math.Abs(polishedKS-KSStatistic(polished, data)) > 1e-12 {
+	if math.Abs(polishedKS-ksOf(polished, data)) > 1e-12 {
 		t.Error("reported KS inconsistent")
 	}
 }
@@ -94,8 +94,8 @@ func TestKSPolishFromBadStart(t *testing.T) {
 	truth, _ := NewExponential(0.001)
 	data := sampleFrom(truth, 3000, 32)
 	bad, _ := NewExponential(0.01) // 10x off
-	badKS := KSStatistic(bad, data)
-	_, polishedKS, err := KSPolish(bad, data, 0)
+	badKS := ksOf(bad, data)
+	_, polishedKS, err := KSPolish(bad, NewSample(data), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestKSPolishFromBadStart(t *testing.T) {
 
 func TestKSPolishEmptyData(t *testing.T) {
 	e, _ := NewExponential(1)
-	if _, _, err := KSPolish(e, nil, 0); err == nil {
+	if _, _, err := KSPolish(e, NewSample(nil), 0); err == nil {
 		t.Error("empty data accepted")
 	}
 }
@@ -129,7 +129,7 @@ func TestKSPolishFitter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if KSStatistic(d, data) > KSStatistic(base, data)+1e-12 {
+	if ksOf(d, data) > ksOf(base, data)+1e-12 {
 		t.Error("polished fit worse than base")
 	}
 	// Propagates base errors.

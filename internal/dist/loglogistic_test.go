@@ -68,7 +68,7 @@ func TestLogLogisticLogPDFConsistent(t *testing.T) {
 func TestLogLogisticSampleKS(t *testing.T) {
 	l, _ := NewLogLogistic(3600, 2.2)
 	data := sampleFrom(l, 5000, 41)
-	if ks := KSStatistic(l, data); ks > 1.63/math.Sqrt(5000) {
+	if ks := ksOf(l, data); ks > 1.63/math.Sqrt(5000) {
 		t.Errorf("KS %v too large for own sample", ks)
 	}
 }
@@ -84,7 +84,7 @@ func TestLogLogisticFitterRecovers(t *testing.T) {
 	if math.Abs(l.Alpha-1800)/1800 > 0.05 || math.Abs(l.Beta-1.7)/1.7 > 0.05 {
 		t.Errorf("fit = %+v, want alpha 1800 beta 1.7", l)
 	}
-	if ks := KSStatistic(got, data); ks > 0.02 {
+	if ks := ksOf(got, data); ks > 0.02 {
 		t.Errorf("fitted KS = %v", ks)
 	}
 }
@@ -122,7 +122,7 @@ func TestLogLogisticInModelSelection(t *testing.T) {
 	truth, _ := NewLogLogistic(900, 2.0)
 	data := sampleFrom(truth, 8000, 43)
 	fitters := append(DefaultFitters(), LogLogisticFitter{})
-	best, err := SelectBest(data, fitters)
+	best, err := SelectBest(NewSample(data), fitters)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -127,8 +127,9 @@ func testDists(t *testing.T) []Distribution {
 	return []Distribution{exp, wb, par, ln, gm, er, ig, nm}
 }
 
-// TestKSADSortedEquivalence pins the compatibility contract: the slice APIs
-// (copy + sort) and the Sorted cores produce bit-identical statistics.
+// TestKSADSortedEquivalence pins that a Sample's sorted view is exactly an
+// independent copy + sort of its data: the Sorted cores produce
+// bit-identical statistics over either.
 func TestKSADSortedEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	data := make([]float64, 4000)
@@ -137,10 +138,10 @@ func TestKSADSortedEquivalence(t *testing.T) {
 	}
 	s := NewSample(data)
 	for _, d := range testDists(t) {
-		if got, want := KSStatisticSorted(d, s.Sorted()), KSStatistic(d, data); got != want {
+		if got, want := KSStatisticSorted(d, s.Sorted()), ksOf(d, data); got != want {
 			t.Errorf("%T: KS sorted %v != slice %v", d, got, want)
 		}
-		if got, want := ADStatisticSorted(d, s.Sorted()), ADStatistic(d, data); got != want {
+		if got, want := ADStatisticSorted(d, s.Sorted()), adOf(d, data); got != want {
 			t.Errorf("%T: AD sorted %v != slice %v", d, got, want)
 		}
 	}
@@ -231,7 +232,9 @@ func TestFitSampleMatchesFit(t *testing.T) {
 }
 
 // TestFitAllSampleMatchesFitAll pins the full model-selection output —
-// ranking, params, KS/AD/PValue/LogL/AIC/BIC — across the two entry points.
+// ranking, params, KS/AD/PValue/LogL/AIC/BIC — across the two Sample
+// constructors: NewSample (copy + sort) and NewSampleSorted over data the
+// caller already sorted.
 func TestFitAllSampleMatchesFitAll(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	truth, _ := NewWeibull(0.7, 40)
@@ -239,13 +242,13 @@ func TestFitAllSampleMatchesFitAll(t *testing.T) {
 	for i := range data {
 		data[i] = truth.Rand(rng)
 	}
-	legacy := FitAll(data, nil)
-	viaSample := FitAllSample(NewSample(data), nil)
-	if len(legacy) != len(viaSample) {
-		t.Fatalf("result count %d != %d", len(legacy), len(viaSample))
+	raw := FitAll(NewSample(data), nil, 0)
+	presorted := FitAll(NewSampleSorted(sortedCopy(data)), nil, 0)
+	if len(raw) != len(presorted) {
+		t.Fatalf("result count %d != %d", len(raw), len(presorted))
 	}
-	for i := range legacy {
-		a, b := legacy[i], viaSample[i]
+	for i := range raw {
+		a, b := raw[i], presorted[i]
 		if a.Family != b.Family {
 			t.Fatalf("rank %d: family %s != %s", i, a.Family, b.Family)
 		}
@@ -267,7 +270,8 @@ func TestFitAllSampleMatchesFitAll(t *testing.T) {
 	}
 }
 
-// TestKSPolishSampleMatchesKSPolish pins the polish path equivalence.
+// TestKSPolishSampleMatchesKSPolish pins the polish path equivalence across
+// the two Sample constructors.
 func TestKSPolishSampleMatchesKSPolish(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	truth, _ := NewExponential(0.5)
@@ -276,8 +280,8 @@ func TestKSPolishSampleMatchesKSPolish(t *testing.T) {
 		data[i] = truth.Rand(rng)
 	}
 	start, _ := NewExponential(0.4)
-	d1, ks1, err1 := KSPolish(start, data, 15)
-	d2, ks2, err2 := KSPolishSample(start, NewSample(data), 15)
+	d1, ks1, err1 := KSPolish(start, NewSample(data), 15)
+	d2, ks2, err2 := KSPolish(start, NewSampleSorted(sortedCopy(data)), 15)
 	if err1 != nil || err2 != nil {
 		t.Fatalf("errs: %v, %v", err1, err2)
 	}

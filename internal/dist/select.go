@@ -9,24 +9,11 @@ import (
 	"repro/internal/par"
 )
 
-// KSStatistic returns the one-sample Kolmogorov–Smirnov statistic
-// D_n = sup_x |F_n(x) − F(x)| between the empirical CDF of data and the
-// distribution d. The input need not be sorted; it is copied and sorted
-// once. Callers that already hold sorted data (or a Sample) should use
-// KSStatisticSorted, which allocates nothing.
-func KSStatistic(d Distribution, data []float64) float64 {
-	if len(data) == 0 {
-		return math.NaN()
-	}
-	sorted := make([]float64, len(data))
-	copy(sorted, data)
-	sort.Float64s(sorted)
-	return KSStatisticSorted(d, sorted)
-}
-
-// KSStatisticSorted is KSStatistic over ascending-sorted data. It is the
-// shared zero-allocation core of KSStatistic, KSPolish and the model
-// selection in FitAll.
+// KSStatisticSorted returns the one-sample Kolmogorov–Smirnov statistic
+// D_n = sup_x |F_n(x) − F(x)| between the empirical CDF of ascending-sorted
+// data and the distribution d, with zero allocations; NaN for no data. A
+// Sample's KSStatistic evaluates the same statistic over its collapsed
+// ECDF.
 //
 //mira:hotpath
 func KSStatisticSorted(d Distribution, sorted []float64) float64 {
@@ -47,24 +34,11 @@ func KSStatisticSorted(d Distribution, sorted []float64) float64 {
 	return maxD
 }
 
-// ADStatistic returns the Anderson–Darling statistic A² of the sample
-// against d. AD weights the tails more heavily than KS, so the two
-// statistics disagreeing flags a tail mismatch. Returns NaN for an empty
-// sample or +Inf when a point falls outside d's support (F = 0 or 1).
-// The input need not be sorted; ADStatisticSorted is the allocation-free
-// core for pre-sorted data.
-func ADStatistic(d Distribution, data []float64) float64 {
-	if len(data) == 0 {
-		return math.NaN()
-	}
-	sorted := make([]float64, len(data))
-	copy(sorted, data)
-	sort.Float64s(sorted)
-	return ADStatisticSorted(d, sorted)
-}
-
-// ADStatisticSorted is ADStatistic over ascending-sorted data, with zero
-// allocations.
+// ADStatisticSorted returns the Anderson–Darling statistic A² of
+// ascending-sorted data against d, with zero allocations. AD weights the
+// tails more heavily than KS, so the two statistics disagreeing flags a
+// tail mismatch. Returns NaN for an empty sample or +Inf when a point falls
+// outside d's support (F = 0 or 1).
 //
 //mira:hotpath
 func ADStatisticSorted(d Distribution, sorted []float64) float64 {
@@ -111,39 +85,18 @@ func DefaultFitters() []Fitter {
 	}
 }
 
-// FitAll fits every candidate family to data and returns the results ranked
-// best-first by KS statistic (the paper's goodness-of-fit criterion), with
-// AIC as a tiebreaker. Families that fail to fit sort last and carry Err.
-// The candidates are fitted concurrently on all cores; use FitAllParallel
-// to bound the worker count.
+// FitAll fits every candidate family to the Sample and returns the results
+// ranked best-first by KS statistic (the paper's goodness-of-fit
+// criterion), with AIC as a tiebreaker. Families that fail to fit sort last
+// and carry Err. No candidate copies or re-sorts the data, and the
+// KS/AD/likelihood statistics are computed allocation-free over the shared
+// sorted view. An empty fitters list means DefaultFitters.
 //
-// FitAll is a compatibility wrapper: it builds one Sample (copy + sort +
-// sufficient statistics) and delegates to FitAllSample, so the data is
-// sorted once for all candidates instead of once per statistic.
-func FitAll(data []float64, fitters []Fitter) []FitResult {
-	return FitAllParallel(data, fitters, 0)
-}
-
-// FitAllParallel is FitAll with an explicit worker bound (≤ 0 means
-// GOMAXPROCS).
-func FitAllParallel(data []float64, fitters []Fitter, workers int) []FitResult {
-	return FitAllSampleParallel(NewSample(data), fitters, workers)
-}
-
-// FitAllSample fits every candidate family to a precomputed Sample; see
-// FitAll for the ranking contract. No candidate copies or re-sorts the
-// data, and the KS/AD/likelihood statistics are computed allocation-free
-// over the shared sorted view.
-func FitAllSample(s *Sample, fitters []Fitter) []FitResult {
-	return FitAllSampleParallel(s, fitters, 0)
-}
-
-// FitAllSampleParallel is FitAllSample with an explicit worker bound (≤ 0
-// means GOMAXPROCS). Each candidate family's fit + goodness-of-fit
-// statistics are independent, so they fan out across the pool; results land
-// in the slot of their fitter and the final stable sort is unchanged,
-// making the ranking identical to the serial path for any worker count.
-func FitAllSampleParallel(s *Sample, fitters []Fitter, workers int) []FitResult {
+// The candidates fan out over at most workers goroutines (≤ 0 means
+// GOMAXPROCS). Each result lands in the slot of its fitter and the final
+// stable sort is unchanged, so the ranking is identical for any worker
+// count.
+func FitAll(s *Sample, fitters []Fitter, workers int) []FitResult {
 	if len(fitters) == 0 {
 		fitters = DefaultFitters()
 	}
@@ -201,15 +154,10 @@ func fitOne(f Fitter, s *Sample) FitResult {
 	return r
 }
 
-// SelectBest fits every candidate family and returns the winner by KS
-// statistic. It errors only if no family fits.
-func SelectBest(data []float64, fitters []Fitter) (FitResult, error) {
-	return SelectBestSample(NewSample(data), fitters)
-}
-
-// SelectBestSample is SelectBest over a precomputed Sample.
-func SelectBestSample(s *Sample, fitters []Fitter) (FitResult, error) {
-	results := FitAllSample(s, fitters)
+// SelectBest fits every candidate family to the Sample and returns the
+// winner by KS statistic. It errors only if no family fits.
+func SelectBest(s *Sample, fitters []Fitter) (FitResult, error) {
+	results := FitAll(s, fitters, 0)
 	if len(results) == 0 || results[0].Err != nil {
 		return FitResult{}, fmt.Errorf("dist: no candidate family fits the sample (n=%d)", s.N())
 	}

@@ -32,20 +32,15 @@ func (e *Env) ProjectProfile(project string) (*core.FusedProfile, error) {
 }
 
 // CohortProfileExpr is CohortProfile for an already-parsed predicate. A nil
-// predicate is the whole corpus — the shared FusedScan profile. Results are
-// cached under the predicate's canonical String(), so syntactic variants of
-// one selection ("a and b" vs "(a) && b") share an entry.
+// predicate is the whole corpus — the shared FusedScan profile. Other
+// cohorts push the predicate down into core.FusedScanWhere and are cached
+// under the predicate's canonical String(), so syntactic variants of one
+// selection ("a and b" vs "(a) && b") share an entry.
 func (e *Env) CohortProfileExpr(expr sel.Expr) (*core.FusedProfile, error) {
 	if expr == nil {
-		if e.fused() {
-			return e.fusedProfile()
-		}
-		return e.D.FusedScan(e.Parallelism)
+		return e.fusedProfile()
 	}
-	if e.cache == nil {
-		return e.cohortScan(expr)
-	}
-	c := e.cache
+	c := &e.cache
 	key := expr.String()
 	// The lock covers the scan itself: concurrent requests for distinct
 	// cohorts serialize, which keeps the cache a plain map and matches how
@@ -55,7 +50,7 @@ func (e *Env) CohortProfileExpr(expr sel.Expr) (*core.FusedProfile, error) {
 	if p, ok := c.cohorts[key]; ok {
 		return p, nil
 	}
-	p, err := e.cohortScan(expr)
+	p, err := e.D.FusedScanWhere(expr, e.Parallelism)
 	if err != nil {
 		return nil, err
 	}
@@ -64,19 +59,4 @@ func (e *Env) CohortProfileExpr(expr sel.Expr) (*core.FusedProfile, error) {
 	}
 	c.cohorts[key] = p
 	return p, nil
-}
-
-// cohortScan computes a cohort profile: predicate pushdown in fused mode,
-// materialize-then-scan in legacy mode. Both are bit-identical (the
-// equivalence suite in core enforces it); the legacy path exists for the
-// paired benchmark and for bisecting pushdown regressions.
-func (e *Env) cohortScan(expr sel.Expr) (*core.FusedProfile, error) {
-	if e.Legacy {
-		md, err := e.D.MaterializeWhere(expr)
-		if err != nil {
-			return nil, err
-		}
-		return md.FusedScan(e.Parallelism)
-	}
-	return e.D.FusedScanWhere(expr, e.Parallelism)
 }

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/oracle"
 	"repro/internal/sel"
 )
 
@@ -102,13 +103,11 @@ func TestCohortProfileNilAndErrors(t *testing.T) {
 	}
 }
 
-// TestCohortProfileLegacyEquivalence checks the legacy (materialize) path
-// agrees with pushdown — the experiments-level mirror of the core
-// equivalence suite.
+// TestCohortProfileLegacyEquivalence checks the pushdown cohort profile
+// against a full scan of the oracle's materialized cohort — the
+// experiments-level mirror of the core equivalence suite.
 func TestCohortProfileLegacyEquivalence(t *testing.T) {
 	e := env(t)
-	legacy := NewEnvFromDataset(e.D)
-	legacy.Legacy = true
 	for _, where := range []string{
 		"exit != success and nodes >= 1024",
 		"sev == FATAL",
@@ -117,7 +116,11 @@ func TestCohortProfileLegacyEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := legacy.CohortProfile(where)
+		md, err := oracle.MaterializeWhere(e.D, mustParse(t, where))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := md.FusedScan(e.Parallelism)
 		if err != nil {
 			t.Fatal(err)
 		}

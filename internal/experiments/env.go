@@ -1,5 +1,5 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (the E1–E15 index in DESIGN.md) from a synthetic corpus. Each
+// evaluation (the E1–E23 index in DESIGN.md) from a synthetic corpus. Each
 // experiment returns renderable tables/figures plus a flat metric map that
 // EXPERIMENTS.md and the regression tests compare against the paper's
 // anchors.
@@ -19,42 +19,34 @@ import (
 
 // Env is the shared evaluation environment: one generated corpus and its
 // indexed dataset, plus lazily memoized cross-experiment analyses (the
-// classifications five experiments would otherwise recompute from scratch).
+// fused scan profile and the derived series several experiments would
+// otherwise recompute from scratch).
+//
+// An Env must not be copied after first use. The constructors are
+// conveniences: an Env literal with D set memoizes through the same path.
 type Env struct {
 	Cfg    sim.Config
 	Corpus *sim.Corpus
 	D      *core.Dataset
 	// Parallelism bounds the workers used by the parallel substrates the
-	// experiments call (distribution fitting, the filter-window sweep);
-	// ≤ 0 means GOMAXPROCS. Results are identical at any setting.
+	// experiments call (the fused scan, distribution fitting, the
+	// filter-window sweep); ≤ 0 means GOMAXPROCS. Results are identical at
+	// any setting.
 	Parallelism int
 
-	// Legacy disables the fused scan engine: every accessor recomputes its
-	// analysis with the pre-fusion per-experiment walks. Results are
-	// bit-identical either way (the equivalence tests enforce it); the
-	// switch exists for the paired benchmark and for bisecting regressions.
-	// Set it before the first experiment runs.
-	Legacy bool
-
-	cache *envCache
+	cache envCache
 }
 
-// envCache memoizes analyses shared across experiments. It lives behind a
-// pointer so an Env value can be copied without copying locks; sync.Once
-// makes each analysis safe to request from concurrently running
-// experiments while computing it exactly once.
+// envCache memoizes analyses shared across experiments. sync.Once makes
+// each analysis safe to request from concurrently running experiments
+// while computing it exactly once.
 //
-// Beyond the classifications it holds the derived-series cache: sorted
+// Beyond the fused profile it holds the derived-series cache: sorted
 // job-duration Samples per outcome, the per-job core-hours series, and the
 // default-rule MTTI / availability / survival results with their interval
 // and repair-time Samples — the series E5/E6/E12/E22/E23 would otherwise
 // re-extract and re-sort per experiment.
 type envCache struct {
-	exitOnce  sync.Once
-	exit      *core.Classification
-	jointOnce sync.Once
-	joint     *core.Classification
-
 	durOnce          sync.Once
 	durSucc, durFail *dist.Sample
 	coreHoursOnce    sync.Once
@@ -69,9 +61,9 @@ type envCache struct {
 	surv             *core.SurvivalResult
 	survErr          error
 
-	// Fused-scan profile plus the fused-mode memoizations layered on it
-	// (see fused.go). profileOnce guards the single shared scan RunAll
-	// triggers instead of ~20 private corpus walks.
+	// Fused-scan profile plus the memoizations layered on it (see
+	// fused.go). profileOnce guards the single shared scan RunAll triggers
+	// instead of ~20 private corpus walks.
 	profileOnce sync.Once
 	profile     *core.FusedProfile
 	profileErr  error
@@ -97,17 +89,11 @@ type envCache struct {
 	cohorts  map[string]*core.FusedProfile
 }
 
-// NewEnv generates a corpus and indexes it. Generation uses all cores; use
-// NewEnvParallel to bound the worker count.
-func NewEnv(cfg sim.Config) (*Env, error) {
-	return NewEnvParallel(cfg, 0)
-}
-
-// NewEnvParallel generates a corpus with at most workers goroutines (≤ 0
-// means GOMAXPROCS) and indexes it. The corpus — and therefore every
-// downstream experiment — is identical for any worker count; the bound also
-// becomes the environment's Parallelism.
-func NewEnvParallel(cfg sim.Config, workers int) (*Env, error) {
+// NewEnv generates a corpus with at most workers goroutines (≤ 0 means
+// GOMAXPROCS) and indexes it. The corpus — and therefore every downstream
+// experiment — is identical for any worker count; the bound also becomes
+// the environment's Parallelism.
+func NewEnv(cfg sim.Config, workers int) (*Env, error) {
 	c, err := sim.GenerateParallel(cfg, workers)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
@@ -116,35 +102,13 @@ func NewEnvParallel(cfg sim.Config, workers int) (*Env, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
 	}
-	return &Env{Cfg: cfg, Corpus: c, D: d, Parallelism: workers, cache: &envCache{}}, nil
+	return &Env{Cfg: cfg, Corpus: c, D: d, Parallelism: workers}, nil
 }
 
 // NewEnvFromDataset wraps an already-loaded dataset (e.g. a CSV corpus read
 // back by mirareport) as an evaluation environment.
 func NewEnvFromDataset(d *core.Dataset) *Env {
-	return &Env{D: d, cache: &envCache{}}
-}
-
-// ClassifyByExit returns the exit-status-only classification, computed once
-// per environment no matter how many experiments (or workers) request it.
-func (e *Env) ClassifyByExit() *core.Classification {
-	if e.cache == nil {
-		// Env literals built without a constructor have no cache; fall back
-		// to direct computation rather than racing to create one.
-		return e.D.ClassifyByExit()
-	}
-	e.cache.exitOnce.Do(func() { e.cache.exit = e.D.ClassifyByExit() })
-	return e.cache.exit
-}
-
-// ClassifyJoint returns the joint (RAS-correlated) classification under
-// core.DefaultJointOptions, computed once per environment.
-func (e *Env) ClassifyJoint() *core.Classification {
-	if e.cache == nil {
-		return e.D.ClassifyJoint(core.DefaultJointOptions())
-	}
-	e.cache.jointOnce.Do(func() { e.cache.joint = e.D.ClassifyJoint(core.DefaultJointOptions()) })
-	return e.cache.joint
+	return &Env{D: d}
 }
 
 // DurationSamples returns the per-outcome execution-length Samples
@@ -152,43 +116,34 @@ func (e *Env) ClassifyJoint() *core.Classification {
 // The extraction and sort happen once per environment no matter how many
 // experiments request them.
 func (e *Env) DurationSamples() (succeeded, failed *dist.Sample) {
-	build := func() (*dist.Sample, *dist.Sample) {
+	c := &e.cache
+	c.durOnce.Do(func() {
 		s, f := e.D.ExecutionLengthCDFs() // already sorted ascending
-		return dist.NewSampleSorted(s), dist.NewSampleSorted(f)
-	}
-	if e.cache == nil {
-		return build()
-	}
-	e.cache.durOnce.Do(func() { e.cache.durSucc, e.cache.durFail = build() })
-	return e.cache.durSucc, e.cache.durFail
+		c.durSucc, c.durFail = dist.NewSampleSorted(s), dist.NewSampleSorted(f)
+	})
+	return c.durSucc, c.durFail
 }
 
 // JobCoreHours returns the per-job core-hours series, aligned with D.Jobs
 // (use D.JobPos to index it by job id), computed once per environment.
 func (e *Env) JobCoreHours() []float64 {
-	build := func() []float64 {
-		ch := make([]float64, len(e.D.Jobs))
+	c := &e.cache
+	c.coreHoursOnce.Do(func() {
+		c.coreHours = make([]float64, len(e.D.Jobs))
 		for i := range e.D.Jobs {
-			ch[i] = e.D.Jobs[i].CoreHours()
+			c.coreHours[i] = e.D.Jobs[i].CoreHours()
 		}
-		return ch
-	}
-	if e.cache == nil {
-		return build()
-	}
-	e.cache.coreHoursOnce.Do(func() { e.cache.coreHours = build() })
-	return e.cache.coreHours
+	})
+	return c.coreHours
 }
 
 // MTTI returns the default-rule mean-time-to-interruption analysis,
 // computed once per environment. Experiments needing a non-default filter
 // rule should call D.MTTI directly.
 func (e *Env) MTTI() (*core.MTTIResult, error) {
-	if e.cache == nil {
-		return e.D.MTTI(core.DefaultFilterRule())
-	}
-	e.cache.mttiOnce.Do(func() { e.cache.mtti, e.cache.mttiErr = e.D.MTTI(core.DefaultFilterRule()) })
-	return e.cache.mtti, e.cache.mttiErr
+	c := &e.cache
+	c.mttiOnce.Do(func() { c.mtti, c.mttiErr = e.D.MTTI(core.DefaultFilterRule()) })
+	return c.mtti, c.mttiErr
 }
 
 // InterruptionIntervals returns the sorted interruption-interval Sample
@@ -218,21 +173,17 @@ func (e *Env) LostCoreHours(r *core.MTTIResult) float64 {
 // Availability returns the service-action availability analysis (with its
 // repair-time Sample), computed once per environment.
 func (e *Env) Availability() (*core.AvailabilityResult, error) {
-	if e.cache == nil {
-		return e.D.Availability()
-	}
-	e.cache.availOnce.Do(func() { e.cache.avail, e.cache.availErr = e.D.Availability() })
-	return e.cache.avail, e.cache.availErr
+	c := &e.cache
+	c.availOnce.Do(func() { c.avail, c.availErr = e.D.Availability() })
+	return c.avail, c.availErr
 }
 
 // Survival returns the Kaplan–Meier time-to-user-failure analysis, computed
 // once per environment.
 func (e *Env) Survival() (*core.SurvivalResult, error) {
-	if e.cache == nil {
-		return e.D.Survival()
-	}
-	e.cache.survOnce.Do(func() { e.cache.surv, e.cache.survErr = e.D.Survival() })
-	return e.cache.surv, e.cache.survErr
+	c := &e.cache
+	c.survOnce.Do(func() { c.surv, c.survErr = e.D.Survival() })
+	return c.surv, c.survErr
 }
 
 // Result is one experiment's regenerated artifact.

@@ -1,11 +1,15 @@
 package experiments
 
 import (
+	"reflect"
+	"sort"
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/joblog"
+	"repro/internal/sim"
 )
 
 // TestDerivedSeriesMemoized checks every derived-series accessor hands back
@@ -67,8 +71,8 @@ func TestDerivedSeriesCacheConcurrent(t *testing.T) {
 		mtti       interface{}
 		avail      interface{}
 		surv       interface{}
-		exit       interface{}
-		joint      interface{}
+		profile    interface{}
+		conc       interface{}
 	}
 	views := make([]view, goroutines)
 	var wg sync.WaitGroup
@@ -82,8 +86,8 @@ func TestDerivedSeriesCacheConcurrent(t *testing.T) {
 			v.mtti, _ = e.MTTI()
 			v.avail, _ = e.Availability()
 			v.surv, _ = e.Survival()
-			v.exit = e.ClassifyByExit()
-			v.joint = e.ClassifyJoint()
+			v.profile, _ = e.fusedProfile()
+			v.conc, _ = e.Concentration(core.ByUser)
 			if res, _ := e.MTTI(); res != nil {
 				_ = e.LostCoreHours(res)
 			}
@@ -98,25 +102,31 @@ func TestDerivedSeriesCacheConcurrent(t *testing.T) {
 			t.Fatalf("goroutine %d saw a different JobCoreHours slice", g)
 		}
 		if views[g].mtti != views[0].mtti || views[g].avail != views[0].avail ||
-			views[g].surv != views[0].surv || views[g].exit != views[0].exit ||
-			views[g].joint != views[0].joint {
+			views[g].surv != views[0].surv || views[g].profile != views[0].profile ||
+			views[g].conc != views[0].conc {
 			t.Fatalf("goroutine %d saw a different memoized analysis", g)
 		}
 	}
 }
 
-// TestEnvCacheNilFallback checks an Env built without a constructor (no
-// cache) still serves every derived series by direct computation.
+// TestEnvCacheNilFallback checks an Env built without a constructor serves
+// every derived series through the same cache as a constructed one: each
+// accessor matches the constructed environment's result and a second call
+// returns the same object.
 func TestEnvCacheNilFallback(t *testing.T) {
 	cached := env(t)
-	bare := &Env{D: cached.D}
+	bare := &Env{D: cached.D, Parallelism: 1}
+
 	s, f := bare.DurationSamples()
 	cs, cf := cached.DurationSamples()
-	if s.N() != cs.N() || f.N() != cf.N() {
-		t.Errorf("fallback DurationSamples sizes (%d,%d) != cached (%d,%d)", s.N(), f.N(), cs.N(), cf.N())
+	if !reflect.DeepEqual(s.Sorted(), cs.Sorted()) || !reflect.DeepEqual(f.Sorted(), cf.Sorted()) {
+		t.Error("literal DurationSamples differ from constructed")
 	}
-	if len(bare.JobCoreHours()) != len(cached.JobCoreHours()) {
-		t.Error("fallback JobCoreHours length mismatch")
+	if s2, _ := bare.DurationSamples(); s2 != s {
+		t.Error("literal DurationSamples not memoized")
+	}
+	if ch := bare.JobCoreHours(); !reflect.DeepEqual(ch, cached.JobCoreHours()) || &ch[0] != &bare.JobCoreHours()[0] {
+		t.Error("literal JobCoreHours differ from constructed or not memoized")
 	}
 	m, err := bare.MTTI()
 	if err != nil {
@@ -124,23 +134,99 @@ func TestEnvCacheNilFallback(t *testing.T) {
 	}
 	cm, _ := cached.MTTI()
 	if m.Interruptions != cm.Interruptions {
-		t.Errorf("fallback MTTI interruptions %d != cached %d", m.Interruptions, cm.Interruptions)
+		t.Errorf("literal MTTI interruptions %d != constructed %d", m.Interruptions, cm.Interruptions)
+	}
+	if m2, _ := bare.MTTI(); m2 != m {
+		t.Error("literal MTTI not memoized")
 	}
 	if got, want := bare.LostCoreHours(m), bare.D.LostCoreHours(m); got != want {
 		t.Errorf("LostCoreHours via cache = %v, direct = %v", got, want)
 	}
-	if _, err := bare.Availability(); err != nil {
-		t.Errorf("fallback Availability: %v", err)
-	}
-	if _, err := bare.Survival(); err != nil {
-		t.Errorf("fallback Survival: %v", err)
+	for name, get := range map[string]func(e *Env) (interface{}, error){
+		"Availability": func(e *Env) (interface{}, error) { return e.Availability() },
+		"Survival":     func(e *Env) (interface{}, error) { return e.Survival() },
+	} {
+		got, err := get(bare)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want, _ := get(cached)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("literal %s differs from constructed", name)
+		}
+		if again, _ := get(bare); again != got {
+			t.Errorf("literal %s not memoized", name)
+		}
 	}
 }
 
-// TestLegacySampleEquivalenceOnExperimentSeries pins the compatibility
-// contract on the real E6/E12/E22 inputs: the legacy slice entry points and
-// the Sample-based cores must agree bit-for-bit on family ranking,
-// parameters, and every goodness-of-fit statistic.
+// TestFusedAccessorsNilCache checks every fused accessor on a
+// constructor-less Env literal matches the constructed environment over the
+// same dataset, and memoizes through the shared fused profile.
+func TestFusedAccessorsNilCache(t *testing.T) {
+	c, err := sim.Generate(sim.SmallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := core.NewDataset(c.Jobs, c.Tasks, c.Events, c.IO)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare := &Env{D: d, Parallelism: 1}
+	cached := NewEnvFromDataset(d)
+	cached.Parallelism = 1
+
+	for name, get := range map[string]func(e *Env) (interface{}, error){
+		"Concentration": func(e *Env) (interface{}, error) {
+			return e.Concentration(core.ByProject)
+		},
+		"Interrupts": func(e *Env) (interface{}, error) { return e.Interrupts() },
+		"Waste":      func(e *Env) (interface{}, error) { return e.Waste() },
+	} {
+		got, err := get(bare)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want, _ := get(cached)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("literal %s differs from constructed", name)
+		}
+		if again, _ := get(bare); again != got {
+			t.Errorf("literal %s not memoized", name)
+		}
+	}
+	bareSum, err := bare.Summary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cachedSum, _ := cached.Summary(); bareSum != cachedSum {
+		t.Errorf("summary: literal %+v, constructed %+v", bareSum, cachedSum)
+	}
+	bareTally, err := bare.ExitTally()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cachedTally, _ := cached.ExitTally(); bareTally != cachedTally {
+		t.Errorf("exit tally: literal %+v, constructed %+v", bareTally, cachedTally)
+	}
+	fatals, err := bare.FatalIncidents()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cachedFatals, _ := cached.FatalIncidents()
+	if !reflect.DeepEqual(fatals, cachedFatals) {
+		t.Errorf("fatal incidents: literal %d, constructed %d", len(fatals), len(cachedFatals))
+	}
+	if again, _ := bare.FatalIncidents(); &again[0] != &fatals[0] {
+		t.Error("literal fatal incidents not memoized")
+	}
+}
+
+// TestLegacySampleEquivalenceOnExperimentSeries pins model selection on
+// the real E6/E12/E22 inputs across the two ways a Sample is built: from
+// raw data (NewSample copies and sorts) and from data the caller already
+// sorted (NewSampleSorted, the experiments' path). Family ranking and every
+// goodness-of-fit statistic must agree bit for bit.
 func TestLegacySampleEquivalenceOnExperimentSeries(t *testing.T) {
 	e := env(t)
 	series := map[string][]float64{}
@@ -165,35 +251,37 @@ func TestLegacySampleEquivalenceOnExperimentSeries(t *testing.T) {
 	}
 
 	for name, data := range series {
-		legacy := dist.FitAll(data, nil)
-		viaSample := dist.FitAllSample(dist.NewSample(data), nil)
-		if len(legacy) != len(viaSample) {
-			t.Fatalf("%s: result counts %d vs %d", name, len(legacy), len(viaSample))
+		sorted := append([]float64(nil), data...)
+		sort.Float64s(sorted)
+		raw := dist.FitAll(dist.NewSample(data), nil, 0)
+		presorted := dist.FitAll(dist.NewSampleSorted(sorted), nil, 0)
+		if len(raw) != len(presorted) {
+			t.Fatalf("%s: result counts %d vs %d", name, len(raw), len(presorted))
 		}
-		for i := range legacy {
-			a, b := legacy[i], viaSample[i]
+		for i := range raw {
+			a, b := raw[i], presorted[i]
 			if a.Family != b.Family || a.KS != b.KS || a.AD != b.AD ||
 				a.PValue != b.PValue || a.LogL != b.LogL || a.AIC != b.AIC || a.BIC != b.BIC {
-				t.Errorf("%s rank %d: legacy %+v != sample %+v", name, i, a, b)
+				t.Errorf("%s rank %d: raw %+v != presorted %+v", name, i, a, b)
 			}
 		}
-		bestLegacy, err1 := dist.SelectBest(data, nil)
-		bestSample, err2 := dist.SelectBestSample(dist.NewSample(data), nil)
+		bestRaw, err1 := dist.SelectBest(dist.NewSample(data), nil)
+		bestSorted, err2 := dist.SelectBest(dist.NewSampleSorted(sorted), nil)
 		if (err1 == nil) != (err2 == nil) {
 			t.Fatalf("%s: SelectBest err mismatch: %v vs %v", name, err1, err2)
 		}
-		if err1 == nil && (bestLegacy.Family != bestSample.Family || bestLegacy.KS != bestSample.KS) {
-			t.Errorf("%s: SelectBest %s/%v != SelectBestSample %s/%v",
-				name, bestLegacy.Family, bestLegacy.KS, bestSample.Family, bestSample.KS)
+		if err1 == nil && (bestRaw.Family != bestSorted.Family || bestRaw.KS != bestSorted.KS) {
+			t.Errorf("%s: SelectBest %s/%v != sorted-input SelectBest %s/%v",
+				name, bestRaw.Family, bestRaw.KS, bestSorted.Family, bestSorted.KS)
 		}
-		if p, ok := bestLegacy.Dist.(dist.Parametric); ok && err1 == nil {
-			_, ks1, e1 := dist.KSPolish(p, data, 10)
-			_, ks2, e2 := dist.KSPolishSample(p, dist.NewSample(data), 10)
+		if p, ok := bestRaw.Dist.(dist.Parametric); ok && err1 == nil {
+			_, ks1, e1 := dist.KSPolish(p, dist.NewSample(data), 10)
+			_, ks2, e2 := dist.KSPolish(p, dist.NewSampleSorted(sorted), 10)
 			if e1 != nil || e2 != nil {
 				t.Fatalf("%s: polish errs %v, %v", name, e1, e2)
 			}
 			if ks1 != ks2 {
-				t.Errorf("%s: KSPolish %v != KSPolishSample %v", name, ks1, ks2)
+				t.Errorf("%s: KSPolish %v != sorted-input KSPolish %v", name, ks1, ks2)
 			}
 		}
 	}

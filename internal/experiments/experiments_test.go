@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -18,7 +19,7 @@ func env(t *testing.T) *Env {
 		cfg.Days = 150
 		cfg.NumUsers = 300
 		cfg.NumProjects = 120
-		e, err := NewEnv(cfg)
+		e, err := NewEnv(cfg, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -364,4 +365,23 @@ func TestE2E3Shapes(t *testing.T) {
 	e3 := run(t, "E3")
 	want(t, e3, "mean_tasks", 1.2, 3)
 	want(t, e3, "small_job_share", 0.1, 0.6)
+}
+
+// TestMetricsTableHelpers covers the shared metric helpers.
+func TestMetricsTableHelpers(t *testing.T) {
+	if safeDiv(6, 3) != 2 || safeDiv(1, 0) != 0 {
+		t.Error("safeDiv")
+	}
+	if boolMetric(true) != 1 || boolMetric(false) != 0 {
+		t.Error("boolMetric")
+	}
+	res := &Result{ID: "EX", Metrics: map[string]float64{"b": 2, "a": 1}}
+	var buf bytes.Buffer
+	tab := MetricsTable(res)
+	if err := tab.Render(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if tab.Columns[0] != "metric" {
+		t.Error("metrics table shape")
+	}
 }

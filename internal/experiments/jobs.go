@@ -284,7 +284,7 @@ func E6(env *Env) (*Result, error) {
 		}
 		sample := dist.NewSample(raw)
 		mleKS := dist.KSStatisticSorted(best.Dist, sample.Sorted())
-		_, polishedKS, err := dist.KSPolishSample(p, sample, 20)
+		_, polishedKS, err := dist.KSPolish(p, sample, 20)
 		if err != nil {
 			return nil, err
 		}

@@ -14,11 +14,11 @@ import (
 // deterministic outcome too.
 func TestRunAllMatchesSerial(t *testing.T) {
 	cfg := sim.SmallConfig()
-	serialEnv, err := NewEnvParallel(cfg, 1)
+	serialEnv, err := NewEnv(cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallelEnv, err := NewEnvParallel(cfg, 8)
+	parallelEnv, err := NewEnv(cfg, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,14 +59,22 @@ func TestRunAllMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestClassificationMemoized checks the cache hands every caller the same
-// computed classification rather than recomputing per experiment.
+// TestClassificationMemoized checks both failure classifications (the
+// exit-status and joint tallies) come from the one memoized fused profile
+// rather than being recomputed per experiment.
 func TestClassificationMemoized(t *testing.T) {
 	e := env(t)
-	if e.ClassifyByExit() != e.ClassifyByExit() {
-		t.Error("ClassifyByExit recomputed instead of memoized")
+	p1, err := e.fusedProfile()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if e.ClassifyJoint() != e.ClassifyJoint() {
-		t.Error("ClassifyJoint recomputed instead of memoized")
+	if p2, _ := e.fusedProfile(); p1 != p2 {
+		t.Fatal("fused profile recomputed instead of memoized")
+	}
+	if exit, err := e.ExitTally(); err != nil || exit != p1.Exit {
+		t.Errorf("ExitTally %+v (err %v) is not the memoized profile's", exit, err)
+	}
+	if joint, err := e.JointTally(); err != nil || joint != p1.Joint {
+		t.Errorf("JointTally %+v (err %v) is not the memoized profile's", joint, err)
 	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/machine"
+	"repro/internal/oracle"
 	"repro/internal/pack"
 	"repro/internal/sel"
 )
@@ -44,7 +45,8 @@ func whereProfileEqual(t *testing.T, label string, got, want *core.FusedProfile)
 // TestFusedScanWhereCSVvsPack closes the acceptance loop on the loader
 // side: for each predicate, the pushdown profile must be identical on a
 // CSV-loaded and a pack-loaded corpus, and each must equal its own
-// materialize-then-scan reference, across worker counts.
+// materialize-then-scan reference (oracle.MaterializeWhere), across
+// worker counts.
 func TestFusedScanWhereCSVvsPack(t *testing.T) {
 	d := generatedDataset(t)
 	dir := t.TempDir()
@@ -83,7 +85,7 @@ func TestFusedScanWhereCSVvsPack(t *testing.T) {
 		if err != nil {
 			t.Fatalf("parse %q: %v", where, err)
 		}
-		md, err := fromPack.MaterializeWhere(e)
+		md, err := oracle.MaterializeWhere(fromPack, e)
 		if err != nil {
 			t.Fatalf("materialize %q: %v", where, err)
 		}

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/oracle"
 	"repro/internal/sel"
 	"repro/internal/sim"
 )
@@ -71,14 +72,10 @@ func TestHealthz(t *testing.T) {
 // TestCohortGolden is the bit-identity contract: for every predicate of
 // the table, the endpoint's report field must equal — byte for byte —
 // what `mirareport -where <canonical>` prints for the same predicate.
-// The reference is computed through the legacy materialize path on an
-// independent Env, so the comparison crosses both the serving layer and
-// the pushdown engine.
+// The reference scans the oracle's materialized cohort, so the comparison
+// crosses both the serving layer and the pushdown engine.
 func TestCohortGolden(t *testing.T) {
 	s := newTestServer(t)
-	refEnv := experiments.NewEnvFromDataset(testDataset(t))
-	refEnv.Parallelism = 1
-	refEnv.Legacy = true // reference = materialize + scan, as in DESIGN §14
 
 	for _, where := range []string{
 		"exit != success",
@@ -109,7 +106,11 @@ func TestCohortGolden(t *testing.T) {
 		}
 
 		// What mirareport -where prints for the canonical predicate.
-		p, err := refEnv.CohortProfile(canon)
+		md, err := oracle.MaterializeWhere(testDataset(t), mustParseCanon(t, canon))
+		if err != nil {
+			t.Fatalf("reference cohort %q: %v", canon, err)
+		}
+		p, err := md.FusedScan(1)
 		if err != nil {
 			t.Fatalf("reference cohort %q: %v", canon, err)
 		}
@@ -122,6 +123,17 @@ func TestCohortGolden(t *testing.T) {
 				where, resp.Report, want.String())
 		}
 	}
+}
+
+// mustParseCanon re-parses a canonical predicate, as mirareport -where
+// would.
+func mustParseCanon(t *testing.T, canon string) sel.Expr {
+	t.Helper()
+	e, err := sel.Parse(canon)
+	if err != nil {
+		t.Fatalf("parse canonical %q: %v", canon, err)
+	}
+	return e
 }
 
 func TestCohortBadRequests(t *testing.T) {
@@ -249,7 +261,7 @@ func TestProfileEndpoint(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
-	want := testDataset(t).Summarize()
+	want := oracle.Summarize(testDataset(t))
 	if resp.Summary != want {
 		t.Errorf("profile summary = %+v, want %+v", resp.Summary, want)
 	}
