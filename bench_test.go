@@ -529,6 +529,23 @@ func BenchmarkCorpusGeneration30d(b *testing.B) {
 	}
 }
 
+// BenchmarkGenerate measures full-scale synthesis: the default 2001-day
+// corpus, where the scheduler replay dominates every path that starts from
+// a seed. scripts/bench.sh runs it in its BENCH_FULL set.
+func BenchmarkGenerate(b *testing.B) {
+	cfg := sim.DefaultConfig()
+	b.ReportAllocs()
+	jobs := 0
+	for i := 0; i < b.N; i++ {
+		c, err := sim.Generate(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		jobs += len(c.Jobs)
+	}
+	b.ReportMetric(float64(jobs)/b.Elapsed().Seconds(), "jobs/s")
+}
+
 // BenchmarkJobCSVRoundTrip measures the scheduler-log codec throughput.
 func BenchmarkJobCSVRoundTrip(b *testing.B) {
 	env := sharedEnv(b)

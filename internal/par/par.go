@@ -39,11 +39,22 @@ func Workers(n int) int {
 	return n
 }
 
+// failHook, when set, runs once right after the first task error has
+// cancelled the remaining work. Tests use it to hold their other tasks
+// until the cancellation has happened.
+var failHook func()
+
 // ForEach runs fn(i) for every i in [0, n) on at most workers goroutines
 // (workers ≤ 0 means GOMAXPROCS). It returns the first error (or captured
 // panic) and cancels the remaining work; on cancellation of ctx it stops
 // dispatching and returns ctx's error. ForEach always waits for in-flight
 // tasks to finish before returning, so fn never runs after ForEach returns.
+//
+// Cancellation contract: indices are handed out in increasing order, one
+// per worker at a time, and a worker checks for cancellation after it
+// takes an index and before it runs it. So once the first error has been
+// recorded, no further task starts; only the tasks already running (at
+// most one per other worker) finish.
 func ForEach(ctx context.Context, n, workers int, fn func(i int) error) error {
 	if n <= 0 {
 		return ctx.Err()
@@ -77,6 +88,9 @@ func ForEach(ctx context.Context, n, workers int, fn func(i int) error) error {
 		errOnce.Do(func() {
 			firstErr = err
 			cancel()
+			if failHook != nil {
+				failHook()
+			}
 		})
 	}
 	wg.Add(w)

@@ -41,20 +41,29 @@ func TestForEachEmpty(t *testing.T) {
 
 func TestForEachFirstErrorWins(t *testing.T) {
 	boom := errors.New("boom")
+	// Every task but the failing one waits until the error has cancelled
+	// the pool. Each worker then holds exactly one task, so the count below
+	// does not depend on how fast the workers race each other.
+	cancelled := make(chan struct{})
+	failHook = func() { close(cancelled) }
+	defer func() { failHook = nil }()
+	const workers = 4
 	var calls atomic.Int32
-	err := ForEach(context.Background(), 1000, 4, func(i int) error {
+	err := ForEach(context.Background(), 1000, workers, func(i int) error {
 		calls.Add(1)
 		if i == 3 {
 			return fmt.Errorf("task %d: %w", i, boom)
 		}
+		<-cancelled
 		return nil
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("got %v, want wrapped boom", err)
 	}
-	// Cancellation must prevent most of the remaining 1000 tasks.
-	if c := calls.Load(); c == 1000 {
-		t.Errorf("error did not cancel remaining work (%d calls)", c)
+	// Tasks 0-3 were running when the error was recorded; none may start
+	// after it.
+	if c := calls.Load(); c != workers {
+		t.Errorf("%d tasks ran, want %d: the error did not stop the remaining work", c, workers)
 	}
 }
 

@@ -50,9 +50,8 @@ const maxBackfillDepth = 256
 // queued is a job waiting for a block.
 type queued struct {
 	id       int64
-	nodes    int
+	mids     int // block size in midplanes
 	walltime time.Duration
-	submit   time.Time
 }
 
 // running is a job currently holding a block.
@@ -71,10 +70,12 @@ type StartDecision struct {
 // Scheduler is the space-sharing scheduler state. Not safe for concurrent
 // use; the simulation loop is single-threaded by design.
 type Scheduler struct {
-	policy  Policy
-	alloc   *machine.Allocator
-	queue   []queued
-	running map[int64]running
+	policy Policy
+	alloc  *machine.Allocator
+	queue  []queued
+	// running is ordered by expEnd. Every running job holds at least one
+	// midplane, so it never has more than TotalMidplanes entries.
+	running []running
 }
 
 // New returns an empty scheduler with the given policy.
@@ -82,123 +83,135 @@ func New(policy Policy) *Scheduler {
 	return &Scheduler{
 		policy:  policy,
 		alloc:   machine.NewAllocator(),
-		running: make(map[int64]running),
+		running: make([]running, 0, machine.TotalMidplanes),
 	}
 }
 
-// Submit enqueues a job request. Nodes must be a schedulable block size.
+// Submit enqueues a job request submitted at virtual time now. Nodes must
+// be a schedulable block size. The queue is FCFS in Submit order.
 func (s *Scheduler) Submit(id int64, nodes int, walltime time.Duration, now time.Time) error {
-	if !machine.ValidBlockNodes(nodes) {
+	mids, err := machine.MidplanesForNodes(nodes)
+	if err != nil {
 		return fmt.Errorf("sched: job %d requests unschedulable size %d", id, nodes)
 	}
 	if walltime <= 0 {
 		return fmt.Errorf("sched: job %d requests non-positive walltime", id)
 	}
-	s.queue = append(s.queue, queued{id: id, nodes: nodes, walltime: walltime, submit: now})
+	s.queue = append(s.queue, queued{id: id, mids: mids, walltime: walltime})
 	return nil
 }
 
 // Schedule starts every job the policy allows at virtual time now and
 // returns the start decisions in start order.
+//
+// It makes one pass. First it starts queue heads while they fit. Then,
+// under EASY backfill, it scans the first maxBackfillDepth jobs behind the
+// blocked head and starts each one that fits now and whose requested
+// walltime ends by the head's shadow time, so the head is never delayed.
+// Nothing is freed during a pass, so every fit test that fails stays
+// failed, and the shadow time computed once stays exact (DESIGN §16).
 func (s *Scheduler) Schedule(now time.Time) []StartDecision {
 	var started []StartDecision
-	for {
-		n := s.scheduleOnce(now, &started)
-		if n == 0 {
-			return started
+	for len(s.queue) > 0 {
+		block, ok := s.alloc.AllocMidplanes(s.queue[0].mids)
+		if !ok {
+			break
 		}
-	}
-}
-
-// scheduleOnce makes a single pass over the queue and returns how many jobs
-// it started.
-func (s *Scheduler) scheduleOnce(now time.Time, started *[]StartDecision) int {
-	if len(s.queue) == 0 {
-		return 0
-	}
-	// Try the head first.
-	head := s.queue[0]
-	if block, ok := s.alloc.Alloc(head.nodes); ok {
-		s.start(head, block, now, started)
+		s.start(s.queue[0], block, now, &started)
 		s.queue = s.queue[1:]
-		return 1
 	}
 	if s.policy != EASYBackfill || len(s.queue) < 2 {
-		return 0
+		return started
 	}
-	// EASY backfill: a later job may start now only if its requested
-	// walltime ends before the head's estimated start (shadow time), so the
-	// head is never delayed. Shadow time is estimated by midplane counts —
-	// buddy alignment can postpone the head slightly beyond it, which is the
-	// standard conservative approximation.
-	shadow, ok := s.shadowTime(now, head.nodes)
+	// Shadow time is estimated by midplane counts — buddy alignment can
+	// postpone the head slightly beyond it, which is the standard
+	// conservative approximation. A backfilled job ends by the shadow time
+	// and so returns its midplanes by then: the estimate cannot move within
+	// the pass.
+	head := s.queue[0]
+	shadow, ok := s.shadowTime(now, head.mids)
 	if !ok {
-		return 0
+		return started
 	}
+	window := shadow.Sub(now)
+	// noFit is the smallest block size known not to fit. Up to 64
+	// midplanes, a failed fit means there is no free run of that length,
+	// and every larger size needs a longer run. The full machine never
+	// fits here: a positive window means some midplane is busy.
+	noFit := head.mids
 	// Bound the scan like production backfill schedulers do: only the first
-	// maxBackfillDepth waiting jobs are backfill candidates. This keeps
-	// scheduling O(depth) under deep backlogs.
-	limit := len(s.queue)
-	if limit > 1+maxBackfillDepth {
-		limit = 1 + maxBackfillDepth
-	}
-	for i := 1; i < limit; i++ {
-		cand := s.queue[i]
-		if now.Add(cand.walltime).After(shadow) {
-			continue
+	// maxBackfillDepth waiting jobs are backfill candidates, counted in the
+	// queue as it shrinks. The jobs that stay are compacted forward over
+	// the started ones, and the tail is moved once at the end.
+	q := s.queue
+	kept, removed, i := 1, 0, 1
+	for ; i < len(q) && i-removed <= maxBackfillDepth; i++ {
+		cand := q[i]
+		if cand.walltime <= window && cand.mids < noFit {
+			if block, ok := s.alloc.AllocMidplanes(cand.mids); ok {
+				s.start(cand, block, now, &started)
+				removed++
+				continue
+			}
+			noFit = cand.mids
 		}
-		block, ok := s.alloc.Alloc(cand.nodes)
-		if !ok {
-			continue
-		}
-		s.start(cand, block, now, started)
-		s.queue = append(s.queue[:i], s.queue[i+1:]...)
-		return 1
+		q[kept] = cand
+		kept++
 	}
-	return 0
+	if removed > 0 {
+		s.queue = q[:kept+copy(q[kept:], q[i:])]
+	}
+	return started
 }
 
+// start records q as running on block: it is inserted into the running set
+// after every job that is expected to end no later.
 func (s *Scheduler) start(q queued, block machine.Block, now time.Time, started *[]StartDecision) {
-	s.running[q.id] = running{id: q.id, block: block, expEnd: now.Add(q.walltime)}
+	r := running{id: q.id, block: block, expEnd: now.Add(q.walltime)}
+	at := sort.Search(len(s.running), func(k int) bool { return s.running[k].expEnd.After(r.expEnd) })
+	s.running = append(s.running, running{})
+	copy(s.running[at+1:], s.running[at:])
+	s.running[at] = r
 	*started = append(*started, StartDecision{JobID: q.id, Block: block})
 }
 
-// shadowTime estimates when the queue head (needing the given node count)
-// could start: the earliest instant at which enough midplanes will be free,
+// shadowTime estimates when the queue head (needing mids midplanes) could
+// start: the earliest instant at which enough midplanes will be free,
 // assuming running jobs end at their requested walltimes.
-func (s *Scheduler) shadowTime(now time.Time, nodes int) (time.Time, bool) {
-	needed, err := machine.MidplanesForNodes(nodes)
-	if err != nil {
-		return time.Time{}, false
-	}
+func (s *Scheduler) shadowTime(now time.Time, mids int) (time.Time, bool) {
 	free := s.alloc.FreeMidplanes()
-	if free >= needed {
+	if free >= mids {
 		return now, true
 	}
-	ends := make([]running, 0, len(s.running))
 	for _, r := range s.running {
-		ends = append(ends, r)
-	}
-	sort.Slice(ends, func(i, j int) bool { return ends[i].expEnd.Before(ends[j].expEnd) })
-	for _, r := range ends {
 		free += r.block.Midplanes
-		if free >= needed {
+		if free >= mids {
 			return r.expEnd, true
 		}
 	}
 	return time.Time{}, false
 }
 
+// runningIndex returns the position of job id in the running set, or -1.
+func (s *Scheduler) runningIndex(id int64) int {
+	for k := range s.running {
+		if s.running[k].id == id {
+			return k
+		}
+	}
+	return -1
+}
+
 // Complete releases the block of a running job.
 func (s *Scheduler) Complete(id int64) error {
-	r, ok := s.running[id]
-	if !ok {
+	k := s.runningIndex(id)
+	if k < 0 {
 		return fmt.Errorf("sched: complete unknown job %d", id)
 	}
-	if err := s.alloc.Free(r.block); err != nil {
+	if err := s.alloc.Free(s.running[k].block); err != nil {
 		return fmt.Errorf("sched: complete job %d: %w", id, err)
 	}
-	delete(s.running, id)
+	s.running = append(s.running[:k], s.running[k+1:]...)
 	return nil
 }
 
@@ -239,6 +252,9 @@ func (s *Scheduler) DownMidplanes() int { return s.alloc.DownMidplanes() }
 
 // RunningBlock returns the block of a running job.
 func (s *Scheduler) RunningBlock(id int64) (machine.Block, bool) {
-	r, ok := s.running[id]
-	return r.block, ok
+	k := s.runningIndex(id)
+	if k < 0 {
+		return machine.Block{}, false
+	}
+	return s.running[k].block, true
 }

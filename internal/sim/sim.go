@@ -425,7 +425,14 @@ func GenerateParallel(cfg Config, workers int) (*Corpus, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
-	var events []raslog.Event
+	total := len(serviceEvents)
+	for _, ns := range noiseShards {
+		total += len(ns)
+	}
+	for _, b := range bursts {
+		total += len(b)
+	}
+	events := make([]raslog.Event, 0, total)
 	for _, ns := range noiseShards {
 		events = append(events, ns...)
 	}

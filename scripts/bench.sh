@@ -7,7 +7,9 @@
 # Usage:
 #   scripts/bench.sh [outdir]          # default outdir: the repo root
 #   BENCH_FULL=1 scripts/bench.sh      # also run the repo-root experiment
-#                                      # benches (150-day corpus, slow)
+#                                      # benches (150-day corpus, slow) and
+#                                      # the full-scale 2001-day
+#                                      # BenchmarkGenerate (3 iterations)
 #
 # The default outdir is the repository root so that results are committed
 # alongside the change they measure: every perf PR runs this script and
@@ -43,8 +45,12 @@ if [[ "${BENCH_FULL:-0}" == "1" ]]; then
   pkgs+=(.)
 fi
 
-raw="$(go test -bench=. -benchmem -count=1 -run '^$' "${pkgs[@]}")"
-if [[ "${BENCH_FULL:-0}" != "1" ]]; then
+raw="$(go test -bench=. -benchmem -count=1 -run '^$' -skip '^BenchmarkGenerate$' "${pkgs[@]}")"
+if [[ "${BENCH_FULL:-0}" == "1" ]]; then
+  # Full-scale generation takes seconds per iteration: a fixed count keeps
+  # the run bounded while giving more than one sample.
+  raw+=$'\n'"$(go test -bench '^BenchmarkGenerate$' -benchmem -benchtime=3x -count=1 -run '^$' .)"
+else
   # The full run covers the repo root already; otherwise run just the
   # paired aggregate and cohort comparisons with a bounded iteration count.
   raw+=$'\n'"$(go test -bench 'Benchmark_(Aggregates_(Oracle|Fused)|CohortSweep_(Materialize|Where)|CohortServe_(Cold|Warm))$' -benchmem -benchtime=10x -count=1 -run '^$' .)"
