@@ -683,7 +683,7 @@ func BenchmarkFitters(b *testing.B) {
 	for _, f := range dist.DefaultFitters() {
 		b.Run(f.FamilyName(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := f.Fit(data); err != nil {
+				if _, err := f.Fit(dist.NewSample(data)); err != nil {
 					b.Fatal(err)
 				}
 			}

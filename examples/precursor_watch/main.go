@@ -41,11 +41,11 @@ func run() error {
 	}
 	// Filter both streams once; the sweep evaluates every lookback over
 	// the same incidents and bursts.
-	fatals, err := d.FilterFatalCached(core.DefaultFilterRule())
+	fatals, err := d.FilterFatal(core.DefaultFilterRule())
 	if err != nil {
 		return err
 	}
-	warns, err := d.FilterWarnCached(core.DefaultFilterRule())
+	warns, err := d.FilterWarn(core.DefaultFilterRule())
 	if err != nil {
 		return err
 	}

@@ -78,8 +78,8 @@ type Dataset struct {
 	eventView     *scan.EventView
 
 	// Interned similarity keys of the FATAL/WARN views for the default
-	// filter rule's key configuration, built lazily by the *Cached filter
-	// entry points. Keys are window-independent, so one interning serves
+	// filter rule's key configuration, built lazily by FilterFatal and
+	// FilterWarn. Keys are window-independent, so one interning serves
 	// every window an analysis sweeps.
 	fatalKeyOnce sync.Once
 	fatalKeys    internedKeys

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/machine"
@@ -87,17 +89,11 @@ func keyOf(e *raslog.Event, rule FilterRule) filterKey {
 	return k
 }
 
-// keyedEvents is the window-independent part of a filter pass: the
-// severity-selected event indices (time order) and their similarity keys.
-// Computing it once and coalescing per window turns a sweep's key work from
-// O(windows × events) into O(events).
-type keyedEvents struct {
-	events []raslog.Event
-	idx    []int       // indices into events, severity-filtered, time order
-	keys   []filterKey // keys[i] belongs to events[idx[i]]
-}
-
-// severityIndex lists the indices of the events with the given severity.
+// severityIndex lists the indices of the events with the given severity,
+// in time order. When the selected events are not already sorted by time
+// the index is stable-sorted by time, which is the order NewDataset's
+// stable sort of the whole stream gives them; the events themselves are
+// never reordered.
 func severityIndex(events []raslog.Event, sev raslog.Severity) []int {
 	var idx []int
 	for i := range events {
@@ -105,96 +101,61 @@ func severityIndex(events []raslog.Event, sev raslog.Severity) []int {
 			idx = append(idx, i)
 		}
 	}
+	for n := 1; n < len(idx); n++ {
+		if events[idx[n]].Time.Before(events[idx[n-1]].Time) {
+			sort.SliceStable(idx, func(a, b int) bool { return events[idx[a]].Time.Before(events[idx[b]].Time) })
+			break
+		}
+	}
 	return idx
 }
 
-// precomputeKeys computes the similarity key of every indexed event.
-func precomputeKeys(events []raslog.Event, idx []int, rule FilterRule) keyedEvents {
-	keys := make([]filterKey, len(idx))
-	for n, i := range idx {
-		keys[n] = keyOf(&events[i], rule)
-	}
-	return keyedEvents{events: events, idx: idx, keys: keys}
-}
-
-// coalesce folds the keyed events into incidents for one window. The loop
-// body is the original FilterBySeverity coalescing logic, unchanged, so the
-// output is bit-identical to the pre-index implementation.
-func coalesce(ke keyedEvents, window time.Duration) []Incident {
-	open := map[filterKey]int{} // key → index into incidents
-	// jobSeen deduplicates job attributions in O(1) per event: one map for
-	// the whole pass, keyed by (incident index, job id), replacing the old
-	// per-event linear scan of Incident.JobIDs (O(n·m) on bursts that touch
-	// many jobs).
-	type incidentJob struct {
-		incident int
-		job      int64
-	}
-	jobSeen := map[incidentJob]struct{}{}
-	var incidents []Incident
-	for n, i := range ke.idx {
-		e := &ke.events[i]
-		k := ke.keys[n]
-		if idx, ok := open[k]; ok && e.Time.Sub(incidents[idx].Last) <= window {
-			in := &incidents[idx]
-			in.Last = e.Time
-			in.Events++
-			if e.JobID != 0 {
-				if _, dup := jobSeen[incidentJob{idx, e.JobID}]; !dup {
-					jobSeen[incidentJob{idx, e.JobID}] = struct{}{}
-					in.JobIDs = append(in.JobIDs, e.JobID)
-				}
-			}
-			continue
-		}
-		incidents = append(incidents, Incident{
-			First: e.Time, Last: e.Time, Events: 1,
-			Loc: e.Loc, MsgID: e.MsgID, Cat: e.Cat,
-		})
-		if e.JobID != 0 {
-			incidents[len(incidents)-1].JobIDs = []int64{e.JobID}
-			jobSeen[incidentJob{len(incidents) - 1, e.JobID}] = struct{}{}
-		}
-		open[k] = len(incidents) - 1
-	}
-	return incidents
-}
-
 // FilterFatal coalesces the FATAL events of the stream into incidents under
-// the rule. Events must be sorted by time (Dataset guarantees this).
+// the rule.
 func FilterFatal(events []raslog.Event, rule FilterRule) ([]Incident, error) {
 	return FilterBySeverity(events, raslog.Fatal, rule)
 }
 
 // FilterBySeverity coalesces the events of one severity into incidents
 // under the rule — FATAL bursts become interruption incidents, WARN bursts
-// become the precursor signals the lead-time analysis mines. Events must be
-// sorted by time.
+// become the precursor signals the lead-time analysis mines. Events are
+// coalesced in time order, ties in input order — the order NewDataset's
+// stable sort gives them — so a raw, unsorted log and a Dataset built from
+// it give the same incidents.
 func FilterBySeverity(events []raslog.Event, sev raslog.Severity, rule FilterRule) ([]Incident, error) {
 	if err := rule.Validate(); err != nil {
 		return nil, err
 	}
-	return coalesce(precomputeKeys(events, severityIndex(events, sev), rule), rule.Window), nil
+	idx := severityIndex(events, sev)
+	return coalesceInterned(events, idx, internKeys(events, idx, rule), rule.Window), nil
 }
 
-// filterIndexed coalesces an already severity-partitioned index list (e.g.
-// a Dataset's FATAL view) so Dataset-level analyses skip the severity scan.
-func filterIndexed(events []raslog.Event, idx []int, rule FilterRule) ([]Incident, error) {
+// FilterFatal coalesces the dataset's FATAL view into incidents. For the
+// default rule's key configuration the view's interned similarity keys are
+// built on the first call and reused by every later call and window, so
+// repeat calls pay only the array-indexed coalesce.
+func (d *Dataset) FilterFatal(rule FilterRule) ([]Incident, error) {
+	return d.filterView(rule, d.fatalIdx, &d.fatalKeyOnce, &d.fatalKeys)
+}
+
+// FilterWarn coalesces the dataset's WARN view into incidents, with the
+// same interned-key cache as FilterFatal.
+func (d *Dataset) FilterWarn(rule FilterRule) ([]Incident, error) {
+	return d.filterView(rule, d.warnIdx, &d.warnKeyOnce, &d.warnKeys)
+}
+
+// filterView coalesces one severity view of the dataset. Keys for the
+// default key configuration come from the view's cache (interned once);
+// any other configuration interns its keys for this call only.
+func (d *Dataset) filterView(rule FilterRule, idx []int, once *sync.Once, cache *internedKeys) ([]Incident, error) {
 	if err := rule.Validate(); err != nil {
 		return nil, err
 	}
-	return coalesce(precomputeKeys(events, idx, rule), rule.Window), nil
-}
-
-// FilterFatal coalesces the dataset's FATAL view into incidents, reusing the
-// severity partition built at NewDataset time.
-func (d *Dataset) FilterFatal(rule FilterRule) ([]Incident, error) {
-	return filterIndexed(d.Events, d.fatalIdx, rule)
-}
-
-// FilterWarn coalesces the dataset's WARN view into incidents.
-func (d *Dataset) FilterWarn(rule FilterRule) ([]Incident, error) {
-	return filterIndexed(d.Events, d.warnIdx, rule)
+	if !defaultKeyConfig(rule) {
+		return coalesceInterned(d.Events, idx, internKeys(d.Events, idx, rule), rule.Window), nil
+	}
+	once.Do(func() { *cache = internKeys(d.Events, idx, rule) })
+	return coalesceInterned(d.Events, idx, *cache, rule.Window), nil
 }
 
 // internedKeys is a severity index's similarity keys interned to dense ids
@@ -231,11 +192,11 @@ func defaultKeyConfig(rule FilterRule) bool {
 	return rule.Spatial == def.Spatial && rule.SameMessage == def.SameMessage
 }
 
-// coalesceInterned is coalesce with pre-interned keys: the open-incident
-// table becomes a flat array indexed by key id, and job attributions
-// deduplicate by scanning the incident's (short) JobIDs list. Decisions,
-// append order and output are identical to coalesce — only the bookkeeping
-// representation changes.
+// coalesceInterned folds the indexed events (time order) into incidents
+// for one window. An event extends the open incident of its key when it
+// is at most window after that incident's last event, else it opens a new
+// one. The open-incident table is a flat array indexed by key id, and job
+// attributions deduplicate by scanning the incident's (short) JobIDs list.
 //
 //mira:hotpath
 func coalesceInterned(events []raslog.Event, idx []int, ik internedKeys, window time.Duration) []Incident {
@@ -243,7 +204,7 @@ func coalesceInterned(events []raslog.Event, idx []int, ik internedKeys, window 
 	// window check against the last event of the key) to size the incident
 	// slice exactly, so the fill pass never grows or copies it. The zero
 	// time.Time makes the first event of every key read as "gap larger than
-	// any window", i.e. a new incident, matching the map version's miss.
+	// any window", i.e. a new incident, as in the fill pass below.
 	lastOf := make([]time.Time, ik.nKeys)
 	count := 0
 	for n, i := range idx {
@@ -288,38 +249,6 @@ func coalesceInterned(events []raslog.Event, idx []int, ik internedKeys, window 
 		open[ik.ids[n]] = int32(len(incidents) - 1)
 	}
 	return incidents
-}
-
-// FilterFatalCached is FilterFatal through the dataset's interned-key cache:
-// the first call interns the FATAL view's similarity keys (for the default
-// rule's key configuration), later calls — and calls with other windows —
-// only pay the array-indexed coalesce. Output is identical to FilterFatal.
-// Rules with a non-default key configuration fall back to the plain pass.
-func (d *Dataset) FilterFatalCached(rule FilterRule) ([]Incident, error) {
-	if err := rule.Validate(); err != nil {
-		return nil, err
-	}
-	if !defaultKeyConfig(rule) {
-		return d.FilterFatal(rule)
-	}
-	d.fatalKeyOnce.Do(func() {
-		d.fatalKeys = internKeys(d.Events, d.fatalIdx, rule)
-	})
-	return coalesceInterned(d.Events, d.fatalIdx, d.fatalKeys, rule.Window), nil
-}
-
-// FilterWarnCached is the WARN-severity counterpart of FilterFatalCached.
-func (d *Dataset) FilterWarnCached(rule FilterRule) ([]Incident, error) {
-	if err := rule.Validate(); err != nil {
-		return nil, err
-	}
-	if !defaultKeyConfig(rule) {
-		return d.FilterWarn(rule)
-	}
-	d.warnKeyOnce.Do(func() {
-		d.warnKeys = internKeys(d.Events, d.warnIdx, rule)
-	})
-	return coalesceInterned(d.Events, d.warnIdx, d.warnKeys, rule.Window), nil
 }
 
 // SweepPoint is one point of the filtering sensitivity sweep.

@@ -2,9 +2,11 @@ package core
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/bitmap"
 	"repro/internal/machine"
+	"repro/internal/raslog"
 	"repro/internal/scan"
 )
 
@@ -92,21 +94,24 @@ func (p *FusedProfile) Concentration(by GroupBy) (*ConcentrationResult, error) {
 // column views in one pass each, fanned out over at most workers goroutines
 // (≤ 0 means GOMAXPROCS). Results are bit-identical at any worker count.
 func (d *Dataset) FusedScan(workers int) (*FusedProfile, error) {
+	return d.fusedScanSel(nil, nil, workers)
+}
+
+// fusedKernels registers the fused suite's job and event kernels for the
+// observation window [start, end) and the event selection (nil = all
+// events), in the order fusedScanSel finishes them.
+func (d *Dataset) fusedKernels(start, end time.Time, eventSel *bitmap.Bitmap) ([]JobKernel, []EventKernel) {
 	jv := d.JobView()
 	ev := d.EventView()
-	tk := newTemporalJobKernel(d)
+	tk := newTemporalJobKernel(start, end)
 	jobKernels := []JobKernel{
 		summaryKernel{},
 		exitTallyKernel{},
-		newJointKernel(d, DefaultJointOptions()),
+		newJointKernel(d, DefaultJointOptions(), eventSel),
 		newGroupKernel(ByUser, len(jv.Users)),
 		newGroupKernel(ByProject, len(jv.Projects)),
 		wasteKernel{},
 		tk,
-	}
-	jsts, err := scan.Run(jv, jv.N, jobKernels, workers)
-	if err != nil {
-		return nil, err
 	}
 	eventKernels := []EventKernel{
 		&profileKernel{nCats: len(ev.Cats), nComps: len(ev.Comps)},
@@ -114,27 +119,37 @@ func (d *Dataset) FusedScan(workers int) (*FusedProfile, error) {
 		&localityKernel{level: machine.LevelMidplane},
 		&localityKernel{level: machine.LevelRack},
 	}
-	ests, err := scan.Run(ev, ev.N, eventKernels, workers)
+	return jobKernels, eventKernels
+}
+
+// fusedScanSel runs the fused suite over the given row selections (nil =
+// all rows on that side); FusedScan is the whole corpus, FusedScanWhere a
+// compiled cohort.
+func (d *Dataset) fusedScanSel(jobSel, eventSel *bitmap.Bitmap, workers int) (*FusedProfile, error) {
+	jv := d.JobView()
+	ev := d.EventView()
+	// The temporal kernel and Summary.Days depend on the observation span,
+	// which for a cohort is the span NewDataset would derive from the
+	// selected records — computed in a cheap pre-pass so day bins line up
+	// exactly with a materialized dataset's.
+	start, end := d.cohortSpan(jobSel, eventSel)
+	jobKernels, eventKernels := d.fusedKernels(start, end, eventSel)
+	jsts, err := scan.Run(jv, jv.N, jobSel, jobKernels, workers)
+	if err != nil {
+		return nil, err
+	}
+	ests, err := scan.Run(ev, ev.N, eventSel, eventKernels, workers)
 	if err != nil {
 		return nil, err
 	}
 
-	p := &FusedProfile{jv: jv}
+	p := &FusedProfile{jv: jv, jobSel: jobSel}
 	sum := jsts[0].(*summaryState)
-	p.Summary = Summary{
-		Days:        d.Days(),
-		Jobs:        len(d.Jobs),
-		Tasks:       len(d.Tasks),
-		Users:       len(jv.Users),
-		Projects:    len(jv.Projects),
-		CoreHours:   float64(sum.coreSec) / 3600,
-		RASTotal:    len(d.Events),
-		RASFatal:    len(d.fatalIdx),
-		RASWarn:     len(d.warnIdx),
-		RASInfo:     d.infoN,
-		IORecords:   len(d.IO),
-		FailedJobs:  sum.failed,
-		SuccessJobs: sum.success,
+	prof := ests[0].(*profileState)
+	nJobs, nTasks, nIO := d.cohortJobCounts(jobSel)
+	nEvents := len(d.Events)
+	if eventSel != nil {
+		nEvents = eventSel.Cardinality()
 	}
 	p.Exit = jsts[1].(*exitTallyState).t
 	p.Joint = jsts[2].(*jointState).t
@@ -142,10 +157,25 @@ func (d *Dataset) FusedScan(workers int) (*FusedProfile, error) {
 	p.ProjectGroups = jsts[4].(*groupState).finish(jv.Projects)
 	p.Waste = jsts[5].(*wasteState).finish()
 	p.Temporal = finishTemporal(jsts[6].(*temporalJobState), ests[1].(*temporalEventState))
-	p.RAS = ests[0].(*profileState).finish(ev)
+	p.RAS = prof.finish(ev)
 	p.localityMid, p.localityMidErr = ests[2].(*localityState).finish()
 	p.localityRack, p.localityRackErr = ests[3].(*localityState).finish()
 	p.Interrupts, p.InterruptsErr = interruptsFromGroups(p.UserGroups)
+	p.Summary = Summary{
+		Days:        end.Sub(start).Hours() / 24,
+		Jobs:        nJobs,
+		Tasks:       nTasks,
+		Users:       len(p.UserGroups),
+		Projects:    len(p.ProjectGroups),
+		CoreHours:   float64(sum.coreSec) / 3600,
+		RASTotal:    nEvents,
+		RASFatal:    prof.sevs[raslog.Fatal],
+		RASWarn:     prof.sevs[raslog.Warn],
+		RASInfo:     nEvents - prof.sevs[raslog.Fatal] - prof.sevs[raslog.Warn],
+		IORecords:   nIO,
+		FailedJobs:  sum.failed,
+		SuccessJobs: sum.success,
+	}
 	return p, nil
 }
 

@@ -6,59 +6,59 @@ import (
 	"time"
 
 	"repro/internal/machine"
+	"repro/internal/raslog"
 	"repro/internal/scan"
 )
 
-// TestFilterCachedMatchesPlain pins the interned-key coalesce to the plain
-// map-based pass: identical incidents for the default rule at several
-// windows, for both severities, plus the non-default-key fallback.
+// TestFilterCachedMatchesPlain pins Dataset.FilterFatal/FilterWarn —
+// interned keys cached on the first call for the default key
+// configuration — to the map-based reference pass: identical incidents on
+// the first and a repeated call, at several windows, for both severities,
+// for a non-default key configuration (interned per call), and the same
+// rejection of an invalid rule.
 func TestFilterCachedMatchesPlain(t *testing.T) {
-	// A private dataset, so the lazily interned key cache this test builds
-	// does not show up in the shared dataset other tests DeepEqual against
-	// fresh rebuilds.
+	// A private dataset, so the first call below is the one that interns
+	// the keys: other tests fill the shared dataset's cache.
 	_, c := dataset(t)
 	d, err := NewDataset(c.Jobs, c.Tasks, c.Events, c.IO)
 	if err != nil {
 		t.Fatal(err)
 	}
+	odd := FilterRule{Window: 20 * time.Minute, Spatial: machine.LevelRack}
+	var rules []FilterRule
 	for _, window := range []time.Duration{time.Minute, 20 * time.Minute, 2 * time.Hour} {
 		rule := DefaultFilterRule()
 		rule.Window = window
-		for _, sev := range []struct {
-			name   string
-			plain  func(FilterRule) ([]Incident, error)
-			cached func(FilterRule) ([]Incident, error)
-		}{
-			{"fatal", d.FilterFatal, d.FilterFatalCached},
-			{"warn", d.FilterWarn, d.FilterWarnCached},
-		} {
-			want, err := sev.plain(rule)
+		rules = append(rules, rule)
+	}
+	rules = append(rules, odd)
+	for _, sev := range []struct {
+		name   string
+		sev    raslog.Severity
+		filter func(FilterRule) ([]Incident, error)
+	}{
+		{"fatal", raslog.Fatal, d.FilterFatal},
+		{"warn", raslog.Warn, d.FilterWarn},
+	} {
+		for _, rule := range rules {
+			want, err := referenceFilterBySeverity(d.Events, sev.sev, rule)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := sev.cached(rule)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s window %v: cached filter differs from plain", sev.name, window)
+			for _, call := range []string{"first", "repeated"} {
+				got, err := sev.filter(rule)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s rule %+v, %s call: %d incidents, reference %d (or contents differ)",
+						sev.name, rule, call, len(got), len(want))
+				}
 			}
 		}
-	}
-	odd := FilterRule{Window: 20 * time.Minute, Spatial: machine.LevelRack}
-	want, err := d.FilterFatal(odd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := d.FilterFatalCached(odd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Error("non-default key config fallback differs from plain")
-	}
-	if _, err := d.FilterFatalCached(FilterRule{Window: -1}); err == nil {
-		t.Error("invalid rule accepted")
+		if _, err := sev.filter(FilterRule{Window: -1}); err == nil {
+			t.Errorf("%s: invalid rule accepted", sev.name)
+		}
 	}
 }
 
@@ -120,16 +120,8 @@ func TestKernelProcessBlockAllocFree(t *testing.T) {
 	d, _ := dataset(t)
 	jv := d.JobView()
 	ev := d.EventView()
-	tk := newTemporalJobKernel(d)
-	jobKernels := []JobKernel{
-		summaryKernel{},
-		exitTallyKernel{},
-		newJointKernel(d, DefaultJointOptions()),
-		newGroupKernel(ByUser, len(jv.Users)),
-		newGroupKernel(ByProject, len(jv.Projects)),
-		wasteKernel{},
-		tk,
-	}
+	start, end := d.Span()
+	jobKernels, eventKernels := d.fusedKernels(start, end, nil)
 	blk := scan.BlockRows
 	for _, k := range jobKernels {
 		st := k.NewState()
@@ -137,12 +129,6 @@ func TestKernelProcessBlockAllocFree(t *testing.T) {
 		if avg := testing.AllocsPerRun(20, func() { st.ProcessBlock(jv, 0, hi) }); avg != 0 {
 			t.Errorf("job kernel %s: %.1f allocs per block", k.Name(), avg)
 		}
-	}
-	eventKernels := []EventKernel{
-		&profileKernel{nCats: len(ev.Cats), nComps: len(ev.Comps)},
-		&temporalEventKernel{monthCap: tk.monthCap},
-		&localityKernel{level: machine.LevelMidplane},
-		&localityKernel{level: machine.LevelRack},
 	}
 	for _, k := range eventKernels {
 		st := k.NewState()

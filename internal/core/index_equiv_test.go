@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 	"time"
@@ -10,9 +11,10 @@ import (
 )
 
 // referenceFilterBySeverity is a verbatim copy of the pre-index
-// implementation: one pass that re-tests severity and recomputes the
-// similarity key for every event. The equivalence tests pin the
-// key-precomputed path to its exact output.
+// implementation: one pass over time-sorted events that re-tests severity,
+// recomputes the similarity key for every event and tracks open incidents
+// in a map. The equivalence tests pin the interned-key coalescer to its
+// exact output.
 func referenceFilterBySeverity(events []raslog.Event, sev raslog.Severity, rule FilterRule) ([]Incident, error) {
 	if err := rule.Validate(); err != nil {
 		return nil, err
@@ -130,6 +132,64 @@ func TestDatasetFilterMatchesSliceFilter(t *testing.T) {
 		if !reflect.DeepEqual(gotW, wantW) {
 			t.Fatalf("rule %+v: Dataset.FilterWarn diverges from FilterBySeverity", rule)
 		}
+	}
+}
+
+// TestFilterBySeveritySortsUnsortedEvents pins the slice filters to the
+// Dataset filters on a time-shuffled stream: FilterBySeverity, FilterFatal
+// and FilterSweep must coalesce in the same stable time order NewDataset
+// sorts into, not in input order.
+func TestFilterBySeveritySortsUnsortedEvents(t *testing.T) {
+	_, c := dataset(t)
+	shuffled := append([]raslog.Event(nil), c.Events...)
+	rand.New(rand.NewSource(7)).Shuffle(len(shuffled), func(i, j int) {
+		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+	})
+	input := append([]raslog.Event(nil), shuffled...)
+	d, err := NewDataset(c.Jobs, c.Tasks, shuffled, c.IO)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rule := range []FilterRule{DefaultFilterRule(), {Window: time.Hour, Spatial: machine.LevelRack}} {
+		wantF, err := d.FilterFatal(rule)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotF, err := FilterFatal(shuffled, rule)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(gotF, wantF) {
+			t.Errorf("rule %+v: FilterFatal on shuffled events gives %d incidents, Dataset.FilterFatal %d (or contents differ)",
+				rule, len(gotF), len(wantF))
+		}
+		wantW, err := d.FilterWarn(rule)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotW, err := FilterBySeverity(shuffled, raslog.Warn, rule)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(gotW, wantW) {
+			t.Errorf("rule %+v: FilterBySeverity(WARN) on shuffled events gives %d incidents, Dataset.FilterWarn %d (or contents differ)",
+				rule, len(gotW), len(wantW))
+		}
+	}
+	windows := []time.Duration{time.Minute, 20 * time.Minute, 6 * time.Hour}
+	want, err := FilterSweep(d.Events, DefaultFilterRule(), windows, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := FilterSweep(shuffled, DefaultFilterRule(), windows, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("FilterSweep on shuffled events = %+v, want %+v", got, want)
+	}
+	if !reflect.DeepEqual(shuffled, input) {
+		t.Error("filtering reordered the caller's slice")
 	}
 }
 

@@ -143,14 +143,10 @@ type jointKernel struct {
 	tolNs      int64
 }
 
-func newJointKernel(d *Dataset, opt JointOptions) *jointKernel {
-	return newJointKernelWhere(d, opt, nil)
-}
-
-// newJointKernelWhere restricts the kernel's FATAL streams to the selected
+// newJointKernel restricts the kernel's FATAL streams to the selected
 // events (nil = all), so a cohort scan attributes failures exactly as a
 // dataset materialized from that selection would.
-func newJointKernelWhere(d *Dataset, opt JointOptions, eventSel *bitmap.Bitmap) *jointKernel {
+func newJointKernel(d *Dataset, opt JointOptions, eventSel *bitmap.Bitmap) *jointKernel {
 	if opt.Tolerance <= 0 {
 		opt = DefaultJointOptions()
 	}
@@ -408,15 +404,10 @@ type temporalJobKernel struct {
 	dayCap    int // days spanned, ditto
 }
 
-func newTemporalJobKernel(d *Dataset) *temporalJobKernel {
-	start, end := d.Span()
-	return newTemporalJobKernelSpan(start, end)
-}
-
-// newTemporalJobKernelSpan builds the kernel for an explicit observation
-// window — a cohort scan passes the selection's span so its day bins line
-// up with a dataset materialized from the same selection.
-func newTemporalJobKernelSpan(start, end time.Time) *temporalJobKernel {
+// newTemporalJobKernel builds the kernel for an observation window — the
+// dataset's span, or for a cohort scan the selection's span, so its day
+// bins line up with a dataset materialized from the same selection.
+func newTemporalJobKernel(start, end time.Time) *temporalJobKernel {
 	spanSec := end.Unix() - start.Unix()
 	if spanSec < 0 {
 		spanSec = 0

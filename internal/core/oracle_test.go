@@ -126,11 +126,11 @@ func TestFusedScanWhereEquivalence(t *testing.T) {
 func TestLeadTimeSweepMatchesLeadTime(t *testing.T) {
 	d, _ := core.SharedDataset(t)
 	rule := core.DefaultFilterRule()
-	fatals, err := d.FilterFatalCached(rule)
+	fatals, err := d.FilterFatal(rule)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warns, err := d.FilterWarnCached(rule)
+	warns, err := d.FilterWarn(rule)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestLifePhasesFromMTTIMatchesOracle(t *testing.T) {
 // cached-key incident stream to the oracle's fresh filtering pass.
 func TestSpatialCorrelationIncidentsMatchesOracle(t *testing.T) {
 	d, _ := core.SharedDataset(t)
-	incidents, err := d.FilterFatalCached(core.DefaultFilterRule())
+	incidents, err := d.FilterFatal(core.DefaultFilterRule())
 	if err != nil {
 		t.Fatal(err)
 	}

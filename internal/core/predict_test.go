@@ -141,11 +141,11 @@ func TestLeadTimeOnCorpus(t *testing.T) {
 // leadTime runs the precursor analysis for one option the way E16 does:
 // the cached default-key filters, then the lookback sweep.
 func leadTime(d *Dataset, rule FilterRule, opt LeadTimeOptions) (*LeadTimeResult, error) {
-	fatals, err := d.FilterFatalCached(rule)
+	fatals, err := d.FilterFatal(rule)
 	if err != nil {
 		return nil, err
 	}
-	warns, err := d.FilterWarnCached(rule)
+	warns, err := d.FilterWarn(rule)
 	if err != nil {
 		return nil, err
 	}

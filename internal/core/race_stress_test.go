@@ -2,9 +2,13 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/machine"
+	"repro/internal/raslog"
 	"repro/internal/sel"
 )
 
@@ -201,4 +205,52 @@ func TestRaceSelectionCacheStampede(t *testing.T) {
 			t.Fatalf("worker %d got a different compiled bitmap than worker 0", w)
 		}
 	}
+}
+
+// TestRaceFilterKeyCacheFirstTouch races the first FilterFatal/FilterWarn
+// calls on a cold Dataset, which intern each severity view's keys once
+// behind the view's sync.Once, against calls at other windows and with a
+// non-default key configuration: every caller must get the reference
+// pass's incidents.
+func TestRaceFilterKeyCacheFirstTouch(t *testing.T) {
+	d := freshDataset(t)
+	rules := []FilterRule{
+		DefaultFilterRule(),
+		{Window: 2 * time.Hour, Spatial: machine.LevelMidplane, SameMessage: true},
+		{Window: 20 * time.Minute, Spatial: machine.LevelRack},
+	}
+	sevs := []raslog.Severity{raslog.Fatal, raslog.Warn}
+	want := make(map[[2]int][]Incident)
+	for s, sev := range sevs {
+		for r, rule := range rules {
+			inc, err := referenceFilterBySeverity(d.Events, sev, rule)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[[2]int{s, r}] = inc
+		}
+	}
+
+	const workers = 12
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			s, r := w%len(sevs), (w/len(sevs))%len(rules)
+			filter := d.FilterFatal
+			if sevs[s] == raslog.Warn {
+				filter = d.FilterWarn
+			}
+			got, err := filter(rules[r])
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if !reflect.DeepEqual(got, want[[2]int{s, r}]) {
+				t.Errorf("worker %d (%v, rule %+v): incidents differ from the reference", w, sevs[s], rules[r])
+			}
+		}(w)
+	}
+	wg.Wait()
 }

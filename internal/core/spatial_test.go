@@ -55,7 +55,7 @@ func pairScenario(t *testing.T) []raslog.Event {
 // spatialCorrelation runs the torus analysis over the cached-key FATAL
 // incident stream, as E21 does.
 func spatialCorrelation(d *Dataset, rule FilterRule, window time.Duration) (*SpatialCorrResult, error) {
-	incidents, err := d.FilterFatalCached(rule)
+	incidents, err := d.FilterFatal(rule)
 	if err != nil {
 		return nil, err
 	}

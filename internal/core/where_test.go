@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/bitmap"
 	"repro/internal/machine"
 	"repro/internal/sel"
 )
@@ -93,6 +94,28 @@ func TestFusedScanWhereNilPredicate(t *testing.T) {
 		t.Fatal(err)
 	}
 	profileFields(t, "nil predicate", got, want)
+}
+
+// TestFusedScanFullSelectionMatchesWholeCorpus pins the nil-selection
+// shortcuts of the one fused body — the dataset's own span, lengths and
+// severity counts — to the cohort math: all-set job and event bitmaps give
+// the same profile as FusedScan's nil selections.
+func TestFusedScanFullSelectionMatchesWholeCorpus(t *testing.T) {
+	d, _ := dataset(t)
+	want, err := d.FusedScan(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allJobs, allEvents := bitmap.New(), bitmap.New()
+	allJobs.AddRange(0, uint32(len(d.Jobs)))
+	allEvents.AddRange(0, uint32(len(d.Events)))
+	for _, workers := range []int{1, 4} {
+		got, err := d.fusedScanSel(allJobs, allEvents, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		profileFields(t, fmt.Sprintf("all-rows selections, workers=%d", workers), got, want)
+	}
 }
 
 // TestSelectionCacheReuse checks repeated queries hand back the same

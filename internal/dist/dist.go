@@ -31,13 +31,15 @@ type Distribution interface {
 	Rand(rng *rand.Rand) float64
 }
 
-// Fitter estimates a distribution's parameters from data by maximum
-// likelihood.
+// Fitter estimates a distribution's parameters from a sample by maximum
+// likelihood. Fitting reads the Sample's sorted view and precomputed
+// sufficient statistics, so one Sample serves every candidate family;
+// wrap a raw slice with NewSample.
 type Fitter interface {
 	// FamilyName returns the family this fitter estimates, e.g. "pareto".
 	FamilyName() string
 	// Fit returns the MLE distribution for the sample.
-	Fit(data []float64) (Distribution, error)
+	Fit(s *Sample) (Distribution, error)
 }
 
 // LogLikelihood returns the sample log-likelihood Σ ln f(x_i) under d.

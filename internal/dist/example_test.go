@@ -42,7 +42,7 @@ func ExampleWeibullFitter() {
 	for i := range data {
 		data[i] = truth.Rand(rng)
 	}
-	fitted, err := (dist.WeibullFitter{}).Fit(data)
+	fitted, err := (dist.WeibullFitter{}).Fit(dist.NewSample(data))
 	if err != nil {
 		fmt.Println(err)
 		return

@@ -162,7 +162,7 @@ func legacyWeibullFit(data []float64) (dist.Distribution, error) {
 	return dist.NewWeibull(k, math.Pow(sxk/float64(n), 1/k))
 }
 
-// legacyFitAll composes the slice APIs per family: per-statistic copy+sort
+// legacyFitAll fits each family on its own: per-statistic copy+sort
 // (legacyKS, legacyAD) and per-criterion likelihood scans (LogL, AIC, BIC),
 // serially, with the same ranking as FitAll. The Erlang and Weibull
 // fits — the two whose estimators the Sample path restructured — use
@@ -194,7 +194,7 @@ func legacyFitAll(data []float64) []dist.FitResult {
 		case dist.WeibullFitter:
 			d, err = legacyWeibullFit(data)
 		default:
-			d, err = f.Fit(data)
+			d, err = f.Fit(dist.NewSample(data))
 		}
 		if err != nil {
 			r.Err = err

@@ -24,7 +24,7 @@ func TestFitterRecoversParameters(t *testing.T) {
 	const n = 50000
 	t.Run("exponential", func(t *testing.T) {
 		truth, _ := NewExponential(0.3)
-		got, err := (ExponentialFitter{}).Fit(sampleFrom(truth, n, 1))
+		got, err := (ExponentialFitter{}).Fit(NewSample(sampleFrom(truth, n, 1)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -35,7 +35,7 @@ func TestFitterRecoversParameters(t *testing.T) {
 	})
 	t.Run("weibull", func(t *testing.T) {
 		truth, _ := NewWeibull(0.7, 5)
-		got, err := (WeibullFitter{}).Fit(sampleFrom(truth, n, 2))
+		got, err := (WeibullFitter{}).Fit(NewSample(sampleFrom(truth, n, 2)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,7 +46,7 @@ func TestFitterRecoversParameters(t *testing.T) {
 	})
 	t.Run("weibull-increasing-hazard", func(t *testing.T) {
 		truth, _ := NewWeibull(3.2, 1.4)
-		got, err := (WeibullFitter{}).Fit(sampleFrom(truth, n, 3))
+		got, err := (WeibullFitter{}).Fit(NewSample(sampleFrom(truth, n, 3)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,7 +57,7 @@ func TestFitterRecoversParameters(t *testing.T) {
 	})
 	t.Run("pareto", func(t *testing.T) {
 		truth, _ := NewPareto(2, 1.8)
-		got, err := (ParetoFitter{}).Fit(sampleFrom(truth, n, 4))
+		got, err := (ParetoFitter{}).Fit(NewSample(sampleFrom(truth, n, 4)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,7 +68,7 @@ func TestFitterRecoversParameters(t *testing.T) {
 	})
 	t.Run("lognormal", func(t *testing.T) {
 		truth, _ := NewLogNormal(2, 0.6)
-		got, err := (LogNormalFitter{}).Fit(sampleFrom(truth, n, 5))
+		got, err := (LogNormalFitter{}).Fit(NewSample(sampleFrom(truth, n, 5)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,7 +79,7 @@ func TestFitterRecoversParameters(t *testing.T) {
 	})
 	t.Run("gamma", func(t *testing.T) {
 		truth, _ := NewGamma(2.5, 0.8)
-		got, err := (GammaFitter{}).Fit(sampleFrom(truth, n, 6))
+		got, err := (GammaFitter{}).Fit(NewSample(sampleFrom(truth, n, 6)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +90,7 @@ func TestFitterRecoversParameters(t *testing.T) {
 	})
 	t.Run("erlang", func(t *testing.T) {
 		truth, _ := NewErlang(4, 2)
-		got, err := (ErlangFitter{}).Fit(sampleFrom(truth, n, 7))
+		got, err := (ErlangFitter{}).Fit(NewSample(sampleFrom(truth, n, 7)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,7 +101,7 @@ func TestFitterRecoversParameters(t *testing.T) {
 	})
 	t.Run("inverse-gaussian", func(t *testing.T) {
 		truth, _ := NewInverseGaussian(3, 9)
-		got, err := (InverseGaussianFitter{}).Fit(sampleFrom(truth, n, 8))
+		got, err := (InverseGaussianFitter{}).Fit(NewSample(sampleFrom(truth, n, 8)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +112,7 @@ func TestFitterRecoversParameters(t *testing.T) {
 	})
 	t.Run("normal", func(t *testing.T) {
 		truth, _ := NewNormal(-2, 3)
-		got, err := (NormalFitter{}).Fit(sampleFrom(truth, n, 9))
+		got, err := (NormalFitter{}).Fit(NewSample(sampleFrom(truth, n, 9)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,31 +129,31 @@ func TestFittersRejectBadSamples(t *testing.T) {
 		LogNormalFitter{}, GammaFitter{}, ErlangFitter{}, InverseGaussianFitter{},
 	}
 	for _, f := range positiveFitters {
-		if _, err := f.Fit([]float64{1, -2, 3}); err == nil {
+		if _, err := f.Fit(NewSample([]float64{1, -2, 3})); err == nil {
 			t.Errorf("%s: negative value accepted", f.FamilyName())
 		}
-		if _, err := f.Fit([]float64{1}); err == nil {
+		if _, err := f.Fit(NewSample([]float64{1})); err == nil {
 			t.Errorf("%s: single point accepted", f.FamilyName())
 		}
-		if _, err := f.Fit(nil); err == nil {
+		if _, err := f.Fit(NewSample(nil)); err == nil {
 			t.Errorf("%s: empty sample accepted", f.FamilyName())
 		}
-		if _, err := f.Fit([]float64{1, math.NaN()}); err == nil {
+		if _, err := f.Fit(NewSample([]float64{1, math.NaN()})); err == nil {
 			t.Errorf("%s: NaN accepted", f.FamilyName())
 		}
 	}
 	// Degenerate constant samples should error, not return garbage.
 	constant := []float64{2, 2, 2, 2}
 	for _, f := range []Fitter{ParetoFitter{}, LogNormalFitter{}, InverseGaussianFitter{}, GammaFitter{}, NormalFitter{}} {
-		if _, err := f.Fit(constant); err == nil {
+		if _, err := f.Fit(NewSample(constant)); err == nil {
 			t.Errorf("%s: constant sample accepted", f.FamilyName())
 		}
 	}
-	if _, err := (ExponentialFitter{}).Fit([]float64{1, 2}); err != nil {
+	if _, err := (ExponentialFitter{}).Fit(NewSample([]float64{1, 2})); err != nil {
 		t.Errorf("exponential on valid pair: %v", err)
 	}
 	var tooFew = []float64{3}
-	if _, err := (ExponentialFitter{}).Fit(tooFew); !errors.Is(err, ErrTooFewPoints) {
+	if _, err := (ExponentialFitter{}).Fit(NewSample(tooFew)); !errors.Is(err, ErrTooFewPoints) {
 		t.Errorf("want ErrTooFewPoints, got %v", err)
 	}
 }
@@ -236,11 +236,11 @@ func TestKSStatisticProperties(t *testing.T) {
 func TestAICBICOrdering(t *testing.T) {
 	truth, _ := NewWeibull(0.6, 10)
 	data := sampleFrom(truth, 5000, 21)
-	wFit, err := (WeibullFitter{}).Fit(data)
+	wFit, err := (WeibullFitter{}).Fit(NewSample(data))
 	if err != nil {
 		t.Fatal(err)
 	}
-	eFit, err := (ExponentialFitter{}).Fit(data)
+	eFit, err := (ExponentialFitter{}).Fit(NewSample(data))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,30 +66,22 @@ func KSPolish(d Parametric, s *Sample, iters int) (Distribution, float64, error)
 }
 
 // KSPolishFitter wraps a base MLE fitter and polishes its result by KS
-// coordinate descent. It satisfies Fitter (and SampleFitter), so it can be
-// dropped into the model-selection candidate set for the ablation.
+// coordinate descent. It satisfies Fitter, so it can be dropped into the
+// model-selection candidate set for the ablation.
 type KSPolishFitter struct {
 	Base  Fitter
 	Iters int
 }
 
-var (
-	_ Fitter       = KSPolishFitter{}
-	_ SampleFitter = KSPolishFitter{}
-)
+var _ Fitter = KSPolishFitter{}
 
 // FamilyName implements Fitter.
 func (f KSPolishFitter) FamilyName() string { return f.Base.FamilyName() + "+kspolish" }
 
-// Fit implements Fitter.
-func (f KSPolishFitter) Fit(data []float64) (Distribution, error) {
-	return f.FitSample(NewSample(data))
-}
-
-// FitSample implements SampleFitter: the base fit and the polish share one
-// sorted sample.
-func (f KSPolishFitter) FitSample(s *Sample) (Distribution, error) {
-	d, err := fitWith(f.Base, s)
+// Fit implements Fitter: the base fit and the polish share one sorted
+// sample.
+func (f KSPolishFitter) Fit(s *Sample) (Distribution, error) {
+	d, err := f.Base.Fit(s)
 	if err != nil {
 		return nil, err
 	}

@@ -65,7 +65,7 @@ func TestErlangWithParamsRoundsShape(t *testing.T) {
 func TestKSPolishImprovesOrMatchesMLE(t *testing.T) {
 	truth, _ := NewWeibull(0.62, 2100)
 	data := sampleFrom(truth, 4000, 31)
-	mle, err := (WeibullFitter{}).Fit(data)
+	mle, err := (WeibullFitter{}).Fit(NewSample(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,11 +121,11 @@ func TestKSPolishFitter(t *testing.T) {
 	if got, want := f.FamilyName(), "pareto+kspolish"; got != want {
 		t.Errorf("FamilyName = %q", got)
 	}
-	d, err := f.Fit(data)
+	d, err := f.Fit(NewSample(data))
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := (ParetoFitter{}).Fit(data)
+	base, err := (ParetoFitter{}).Fit(NewSample(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestKSPolishFitter(t *testing.T) {
 		t.Error("polished fit worse than base")
 	}
 	// Propagates base errors.
-	if _, err := f.Fit([]float64{-1, 2}); err == nil {
+	if _, err := f.Fit(NewSample([]float64{-1, 2})); err == nil {
 		t.Error("bad sample accepted")
 	}
 }

@@ -129,23 +129,15 @@ func (LogLogistic) WithParams(p []float64) (Distribution, error) {
 // Newton polish of the shape on the profile likelihood.
 type LogLogisticFitter struct{}
 
-var (
-	_ Fitter       = LogLogisticFitter{}
-	_ SampleFitter = LogLogisticFitter{}
-)
+var _ Fitter = LogLogisticFitter{}
 
 // FamilyName implements Fitter.
 func (LogLogisticFitter) FamilyName() string { return "loglogistic" }
 
-// Fit implements Fitter.
-func (f LogLogisticFitter) Fit(data []float64) (Distribution, error) {
-	return f.FitSample(NewSample(data))
-}
-
-// FitSample implements SampleFitter: the moment seed comes straight from the
+// Fit implements Fitter: the moment seed comes straight from the
 // cached log-moments; only the likelihood polish still scans the (sorted)
 // data.
-func (LogLogisticFitter) FitSample(sm *Sample) (Distribution, error) {
+func (LogLogisticFitter) Fit(sm *Sample) (Distribution, error) {
 	if _, _, _, err := sm.moments(true); err != nil {
 		return nil, fmt.Errorf("fit loglogistic: %w", err)
 	}

@@ -76,7 +76,7 @@ func TestLogLogisticSampleKS(t *testing.T) {
 func TestLogLogisticFitterRecovers(t *testing.T) {
 	truth, _ := NewLogLogistic(1800, 1.7)
 	data := sampleFrom(truth, 30000, 42)
-	got, err := (LogLogisticFitter{}).Fit(data)
+	got, err := (LogLogisticFitter{}).Fit(NewSample(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,13 +91,13 @@ func TestLogLogisticFitterRecovers(t *testing.T) {
 
 func TestLogLogisticFitterRejects(t *testing.T) {
 	f := LogLogisticFitter{}
-	if _, err := f.Fit([]float64{1}); err == nil {
+	if _, err := f.Fit(NewSample([]float64{1})); err == nil {
 		t.Error("single point accepted")
 	}
-	if _, err := f.Fit([]float64{1, -1}); err == nil {
+	if _, err := f.Fit(NewSample([]float64{1, -1})); err == nil {
 		t.Error("negative accepted")
 	}
-	if _, err := f.Fit([]float64{2, 2, 2}); err == nil {
+	if _, err := f.Fit(NewSample([]float64{2, 2, 2})); err == nil {
 		t.Error("constant accepted")
 	}
 }

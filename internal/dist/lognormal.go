@@ -87,22 +87,14 @@ func (l LogNormal) Rand(rng *rand.Rand) float64 {
 // standard deviation of ln x.
 type LogNormalFitter struct{}
 
-var (
-	_ Fitter       = LogNormalFitter{}
-	_ SampleFitter = LogNormalFitter{}
-)
+var _ Fitter = LogNormalFitter{}
 
 // FamilyName implements Fitter.
 func (LogNormalFitter) FamilyName() string { return "lognormal" }
 
-// Fit implements Fitter.
-func (f LogNormalFitter) Fit(data []float64) (Distribution, error) {
-	return f.FitSample(NewSample(data))
-}
-
-// FitSample implements SampleFitter: the MLE is the cached mean and
+// Fit implements Fitter: the MLE is the cached mean and
 // variance of ln x — no log pass and no scratch slice per fit.
-func (LogNormalFitter) FitSample(s *Sample) (Distribution, error) {
+func (LogNormalFitter) Fit(s *Sample) (Distribution, error) {
 	if _, _, _, err := s.moments(true); err != nil {
 		return nil, fmt.Errorf("fit lognormal: %w", err)
 	}
@@ -178,21 +170,13 @@ func (n Normal) Rand(rng *rand.Rand) float64 { return n.Mu + n.Sigma*rng.NormFlo
 // NormalFitter estimates a Gaussian by MLE.
 type NormalFitter struct{}
 
-var (
-	_ Fitter       = NormalFitter{}
-	_ SampleFitter = NormalFitter{}
-)
+var _ Fitter = NormalFitter{}
 
 // FamilyName implements Fitter.
 func (NormalFitter) FamilyName() string { return "normal" }
 
 // Fit implements Fitter.
-func (f NormalFitter) Fit(data []float64) (Distribution, error) {
-	return f.FitSample(NewSample(data))
-}
-
-// FitSample implements SampleFitter.
-func (NormalFitter) FitSample(s *Sample) (Distribution, error) {
+func (NormalFitter) Fit(s *Sample) (Distribution, error) {
 	_, mu, variance, err := s.moments(false)
 	if err != nil {
 		return nil, fmt.Errorf("fit normal: %w", err)

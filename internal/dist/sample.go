@@ -308,26 +308,6 @@ func (s *Sample) Quantile(p float64) float64 {
 	return s.sorted[lo] + frac*(s.sorted[lo+1]-s.sorted[lo])
 }
 
-// SampleFitter is a Fitter that can estimate its family directly from a
-// precomputed Sample, skipping the per-fit validation and moment passes. All
-// families in this package implement it; FitAll falls back to
-// Fit(sample.Sorted()) for third-party fitters that do not.
-type SampleFitter interface {
-	Fitter
-	// FitSample returns the MLE distribution for the sample.
-	FitSample(s *Sample) (Distribution, error)
-}
-
-// fitWith dispatches to the Sample-based estimator when the fitter supports
-// it and falls back to the slice API (over the sorted view, zero-copy)
-// otherwise.
-func fitWith(f Fitter, s *Sample) (Distribution, error) {
-	if sf, ok := f.(SampleFitter); ok {
-		return sf.FitSample(s)
-	}
-	return f.Fit(s.Sorted())
-}
-
 // LogLikelihood returns Σ ln f(x_i) over the sample. For the families whose
 // log-density is linear in the precomputed sufficient statistics
 // (exponential, gamma/Erlang, Pareto, log-normal, normal, inverse Gaussian)

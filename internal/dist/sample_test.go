@@ -192,45 +192,6 @@ func TestClosedFormLogLikelihood(t *testing.T) {
 	}
 }
 
-// TestFitSampleMatchesFit pins bit-identical parameters between the slice
-// and Sample fitting paths for every built-in family.
-func TestFitSampleMatchesFit(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	data := make([]float64, 8000)
-	for i := range data {
-		data[i] = rng.ExpFloat64()*3 + 0.2
-	}
-	s := NewSample(data)
-	fitters := append(DefaultFitters(), LogLogisticFitter{}, NormalFitter{})
-	for _, f := range fitters {
-		sf, ok := f.(SampleFitter)
-		if !ok {
-			t.Errorf("%s does not implement SampleFitter", f.FamilyName())
-			continue
-		}
-		viaSlice, err1 := f.Fit(data)
-		viaSample, err2 := sf.FitSample(s)
-		if (err1 == nil) != (err2 == nil) {
-			t.Errorf("%s: err mismatch slice=%v sample=%v", f.FamilyName(), err1, err2)
-			continue
-		}
-		if err1 != nil {
-			continue
-		}
-		p1, ok1 := viaSlice.(Parametric)
-		p2, ok2 := viaSample.(Parametric)
-		if !ok1 || !ok2 {
-			continue
-		}
-		a, b := p1.Params(), p2.Params()
-		for i := range a {
-			if a[i] != b[i] {
-				t.Errorf("%s: param %d differs: slice %v, sample %v", f.FamilyName(), i, a[i], b[i])
-			}
-		}
-	}
-}
-
 // TestFitAllSampleMatchesFitAll pins the full model-selection output —
 // ranking, params, KS/AD/PValue/LogL/AIC/BIC — across the two Sample
 // constructors: NewSample (copy + sort) and NewSampleSorted over data the

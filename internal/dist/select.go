@@ -130,11 +130,10 @@ func FitAll(s *Sample, fitters []Fitter, workers int) []FitResult {
 
 // fitOne fits a single candidate family and computes its goodness-of-fit
 // statistics from the shared sorted sample. The log-likelihood is computed
-// once and reused for AIC and BIC (the slice path recomputed it three
-// times).
+// once and reused for AIC and BIC.
 func fitOne(f Fitter, s *Sample) FitResult {
 	r := FitResult{Family: f.FamilyName()}
-	d, err := fitWith(f, s)
+	d, err := f.Fit(s)
 	if err != nil {
 		r.Err = err
 		r.KS = math.Inf(1)

@@ -127,7 +127,7 @@ func (e *Env) Locality(level machine.Level) (*core.LocalityResult, error) {
 // computed once per environment (E16/E21 share it).
 func (e *Env) FatalIncidents() ([]core.Incident, error) {
 	c := &e.cache
-	c.fatalIncOnce.Do(func() { c.fatalInc, c.fatalIncErr = e.D.FilterFatalCached(core.DefaultFilterRule()) })
+	c.fatalIncOnce.Do(func() { c.fatalInc, c.fatalIncErr = e.D.FilterFatal(core.DefaultFilterRule()) })
 	return c.fatalInc, c.fatalIncErr
 }
 
@@ -135,7 +135,7 @@ func (e *Env) FatalIncidents() ([]core.Incident, error) {
 // computed once per environment.
 func (e *Env) WarnIncidents() ([]core.Incident, error) {
 	c := &e.cache
-	c.warnIncOnce.Do(func() { c.warnInc, c.warnIncErr = e.D.FilterWarnCached(core.DefaultFilterRule()) })
+	c.warnIncOnce.Do(func() { c.warnInc, c.warnIncErr = e.D.FilterWarn(core.DefaultFilterRule()) })
 	return c.warnInc, c.warnIncErr
 }
 

@@ -30,6 +30,7 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/bitmap"
 	"repro/internal/par"
 )
 
@@ -64,11 +65,21 @@ type Kernel[V any] interface {
 	NewState() State[V]
 }
 
-// Run sweeps rows [0, n) of the view once, feeding every kernel each block,
-// with shards fanned out over at most workers goroutines (≤ 0 means
-// GOMAXPROCS). It returns one fully merged state per kernel, in kernel
-// order. Results are bit-identical for any worker count.
-func Run[V any](v V, n int, kernels []Kernel[V], workers int) ([]State[V], error) {
+// Run sweeps the rows of [0, n) set in sel once, feeding every kernel each
+// block, with shards fanned out over at most workers goroutines (≤ 0 means
+// GOMAXPROCS). A nil sel selects every row. It returns one fully merged
+// state per kernel, in kernel order. Results are bit-identical for any
+// worker count.
+//
+// Every kernel sees exactly the selected rows, in ascending order, as
+// ProcessBlock calls over the maximal selected runs of each block. The
+// shard plan stays a pure function of the total row count n — NOT of the
+// selection — so the partial-state layout and the merge tree are the same
+// for every selection. Blocks with no selected rows are skipped without
+// touching the view's columns; a fully selected block, and every block of a
+// nil selection, issues the single ProcessBlock(v, blockLo, blockHi) call,
+// so pushdown costs nothing where the predicate is dense (DESIGN.md §14).
+func Run[V any](v V, n int, sel *bitmap.Bitmap, kernels []Kernel[V], workers int) ([]State[V], error) {
 	if n < 0 {
 		return nil, fmt.Errorf("scan: negative row count %d", n)
 	}
@@ -79,12 +90,20 @@ func Run[V any](v V, n int, kernels []Kernel[V], workers int) ([]State[V], error
 		}
 		return sts
 	}
+	// The run buffer is per shard task: par.ForEach hands each worker
+	// disjoint shards, so no sharing. A nil selection yields one run per
+	// block; a bitmap's worst case is a 2048-row block of 1024 singleton
+	// runs.
+	runCap := BlockRows / 2
+	if sel == nil {
+		runCap = 1
+	}
 	shards := (n + ShardRows - 1) / ShardRows
 	if shards <= 1 {
 		// Serial fast path (also the empty-view path): one state set, one
 		// block loop, no merge.
 		sts := newStates()
-		processShard(v, 0, n, sts)
+		processShard(v, 0, n, sel, make([]bitmap.Run, 0, runCap), sts)
 		return sts, nil
 	}
 	states := make([][]State[V], shards)
@@ -92,7 +111,7 @@ func Run[V any](v V, n int, kernels []Kernel[V], workers int) ([]State[V], error
 		lo := s * ShardRows
 		hi := min(lo+ShardRows, n)
 		sts := newStates()
-		processShard(v, lo, hi, sts)
+		processShard(v, lo, hi, sel, make([]bitmap.Run, 0, runCap), sts)
 		states[s] = sts
 		return nil
 	})
@@ -113,13 +132,24 @@ func Run[V any](v V, n int, kernels []Kernel[V], workers int) ([]State[V], error
 	return states[0], nil
 }
 
-// processShard feeds the shard's rows to every state, one block at a time
-// so the block's columns stay cache-hot across kernels.
-func processShard[V any](v V, lo, hi int, sts []State[V]) {
+// processShard feeds each block's selected runs to every state, one block
+// at a time so the block's columns stay cache-hot across kernels. The
+// block-skip test and the run decomposition touch only the selection
+// bitmap, never the view's columns.
+//
+//mira:hotpath
+func processShard[V any](v V, lo, hi int, sel *bitmap.Bitmap, runs []bitmap.Run, sts []State[V]) {
 	for blo := lo; blo < hi; blo += BlockRows {
 		bhi := min(blo+BlockRows, hi)
+		if sel == nil {
+			runs = append(runs[:0], bitmap.Run{Lo: int32(blo), Hi: int32(bhi)})
+		} else {
+			runs = sel.AppendBlockRuns(runs[:0], blo, bhi)
+		}
 		for _, st := range sts {
-			st.ProcessBlock(v, blo, bhi)
+			for _, r := range runs {
+				st.ProcessBlock(v, int(r.Lo), int(r.Hi))
+			}
 		}
 	}
 }

@@ -8,12 +8,12 @@ import (
 	"repro/internal/bitmap"
 )
 
-// runWhereTrace runs the trace+sum kernel pair through RunWhere.
+// runWhereTrace runs the trace+sum kernel pair over a selection.
 func runWhereTrace(t *testing.T, n int, sel *bitmap.Bitmap, workers int) (*traceState, *sumState) {
 	t.Helper()
-	states, err := RunWhere(rowsView{n}, n, sel, []Kernel[rowsView]{traceKernel{}, sumKernel{}}, workers)
+	states, err := Run(rowsView{n}, n, sel, []Kernel[rowsView]{traceKernel{}, sumKernel{}}, workers)
 	if err != nil {
-		t.Fatalf("RunWhere(n=%d, workers=%d): %v", n, workers, err)
+		t.Fatalf("Run(n=%d, workers=%d): %v", n, workers, err)
 	}
 	return states[0].(*traceState), states[1].(*sumState)
 }
@@ -88,33 +88,43 @@ func TestRunWhereVisitsExactlySelection(t *testing.T) {
 	}
 }
 
-// TestRunWhereFullSelectionMatchesRun pins the fast-path contract: a fully
-// selected scan issues exactly the block calls of the unmasked engine.
+// TestRunWhereFullSelectionMatchesRun pins the fast-path contract: an
+// all-set selection issues exactly the block calls of the unmasked (nil
+// selection) scan — one ProcessBlock(blockLo, blockHi) per block.
 func TestRunWhereFullSelectionMatchesRun(t *testing.T) {
 	for _, n := range []int{0, 1, BlockRows, ShardRows + 3, 2*ShardRows + BlockRows + 11} {
 		full := bitmap.New()
 		full.AddRange(0, uint32(n))
-		states, err := Run(rowsView{n}, n, []Kernel[rowsView]{traceKernel{}}, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := states[0].(*traceState).blocks
-		tr, _ := runWhereTrace(t, n, full, 4)
-		if !reflect.DeepEqual(tr.blocks, want) {
-			t.Errorf("n=%d: full-selection blocks %v, want unmasked blocks %v", n, tr.blocks, want)
+		for _, workers := range []int{1, 4} {
+			nilTr, _ := runWhereTrace(t, n, nil, workers)
+			fullTr, _ := runWhereTrace(t, n, full, workers)
+			if !reflect.DeepEqual(nilTr.blocks, fullTr.blocks) {
+				t.Errorf("n=%d workers=%d: nil-selection blocks %v, full-selection blocks %v",
+					n, workers, nilTr.blocks, fullTr.blocks)
+			}
+			for b, blk := range nilTr.blocks {
+				if blk[0] != b*BlockRows || blk[1] != min((b+1)*BlockRows, n) {
+					t.Fatalf("n=%d workers=%d: block %d is %v, want one call per whole block", n, workers, b, blk)
+				}
+			}
 		}
 	}
 }
 
-// TestRunWhereNilSelection checks nil degrades to a plain Run.
+// TestRunWhereNilSelection checks a nil selection scans every row: its
+// sums equal those of an all-set selection and the closed form.
 func TestRunWhereNilSelection(t *testing.T) {
-	const n = ShardRows + 10
-	states, err := RunWhere(rowsView{n}, n, nil, []Kernel[rowsView]{sumKernel{}}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := int64(n) * int64(n-1) / 2
-	if got := states[0].(*sumState).total; got != want {
-		t.Errorf("nil selection sum = %d, want %d", got, want)
+	for _, n := range []int{0, 1, BlockRows, ShardRows + 3, ShardRows + 10, 2*ShardRows + BlockRows + 11} {
+		full := bitmap.New()
+		full.AddRange(0, uint32(n))
+		for _, workers := range []int{1, 2, 4} {
+			_, nilSum := runWhereTrace(t, n, nil, workers)
+			_, fullSum := runWhereTrace(t, n, full, workers)
+			want := int64(n) * int64(n-1) / 2
+			if nilSum.total != want || fullSum.total != want {
+				t.Errorf("n=%d workers=%d: sums nil=%d full=%d, want %d",
+					n, workers, nilSum.total, fullSum.total, want)
+			}
+		}
 	}
 }
