@@ -34,8 +34,13 @@ type AvailabilityResult struct {
 }
 
 // Availability pairs service-action begin/end events per hardware location
-// and derives downtime, availability and the repair-time distribution.
+// and derives downtime, availability and the repair-time distribution. The
+// result is computed once per Dataset: it is shared and read-only.
 func (d *Dataset) Availability() (*AvailabilityResult, error) {
+	return d.memo.avail.get(d.availability)
+}
+
+func (d *Dataset) availability() (*AvailabilityResult, error) {
 	open := map[machine.Location][]int{} // location → indices of open begins
 	var begins []raslog.Event
 	res := &AvailabilityResult{}

@@ -92,6 +92,10 @@ type Dataset struct {
 	selOnce sync.Once
 	selx    *selIndexes
 
+	// Whole-corpus analyses computed at most once per Dataset and shared
+	// by every consumer (memo.go).
+	memo analysisMemo
+
 	start, end time.Time
 }
 

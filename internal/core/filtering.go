@@ -133,21 +133,23 @@ func FilterBySeverity(events []raslog.Event, sev raslog.Severity, rule FilterRul
 // FilterFatal coalesces the dataset's FATAL view into incidents. For the
 // default rule's key configuration the view's interned similarity keys are
 // built on the first call and reused by every later call and window, so
-// repeat calls pay only the array-indexed coalesce.
+// repeat calls pay only the array-indexed coalesce. The default rule's
+// incidents are memoized on the Dataset: they are shared and read-only.
 func (d *Dataset) FilterFatal(rule FilterRule) ([]Incident, error) {
-	return d.filterView(rule, d.fatalIdx, &d.fatalKeyOnce, &d.fatalKeys)
+	return d.filterView(rule, d.fatalIdx, &d.fatalKeyOnce, &d.fatalKeys, &d.memo.fatalInc)
 }
 
 // FilterWarn coalesces the dataset's WARN view into incidents, with the
-// same interned-key cache as FilterFatal.
+// same interned-key cache and default-rule memo as FilterFatal.
 func (d *Dataset) FilterWarn(rule FilterRule) ([]Incident, error) {
-	return d.filterView(rule, d.warnIdx, &d.warnKeyOnce, &d.warnKeys)
+	return d.filterView(rule, d.warnIdx, &d.warnKeyOnce, &d.warnKeys, &d.memo.warnInc)
 }
 
 // filterView coalesces one severity view of the dataset. Keys for the
 // default key configuration come from the view's cache (interned once);
-// any other configuration interns its keys for this call only.
-func (d *Dataset) filterView(rule FilterRule, idx []int, once *sync.Once, cache *internedKeys) ([]Incident, error) {
+// any other configuration interns its keys for this call only. The default
+// rule's incidents come from the view's memo.
+func (d *Dataset) filterView(rule FilterRule, idx []int, once *sync.Once, cache *internedKeys, memo *lazy[[]Incident]) ([]Incident, error) {
 	if err := rule.Validate(); err != nil {
 		return nil, err
 	}
@@ -155,7 +157,11 @@ func (d *Dataset) filterView(rule FilterRule, idx []int, once *sync.Once, cache 
 		return coalesceInterned(d.Events, idx, internKeys(d.Events, idx, rule), rule.Window), nil
 	}
 	once.Do(func() { *cache = internKeys(d.Events, idx, rule) })
-	return coalesceInterned(d.Events, idx, *cache, rule.Window), nil
+	coalesce := func() ([]Incident, error) { return coalesceInterned(d.Events, idx, *cache, rule.Window), nil }
+	if rule == DefaultFilterRule() {
+		return memo.get(coalesce)
+	}
+	return coalesce()
 }
 
 // internedKeys is a severity index's similarity keys interned to dense ids

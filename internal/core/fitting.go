@@ -113,8 +113,17 @@ func thin(data []float64, k int) []float64 {
 // succeeded and failed jobs, each sorted ascending — the data behind the
 // paper's CDF comparison figure (E5). The sorted order lets callers wrap
 // the slices in dist.NewSampleSorted / stats.NewECDFSorted without another
-// copy or sort.
+// copy or sort. The slices are computed once per Dataset: they are shared
+// and read-only.
 func (d *Dataset) ExecutionLengthCDFs() (succeeded, failed []float64) {
+	cdfs, _ := d.memo.cdfs.get(func() ([2][]float64, error) {
+		s, f := d.executionLengthCDFs()
+		return [2][]float64{s, f}, nil
+	})
+	return cdfs[0], cdfs[1]
+}
+
+func (d *Dataset) executionLengthCDFs() (succeeded, failed []float64) {
 	for i := range d.Jobs {
 		j := &d.Jobs[i]
 		sec := j.Runtime().Seconds()

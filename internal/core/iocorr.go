@@ -27,8 +27,13 @@ type IOCorrelation struct {
 	SpearmanBytesOutcome float64
 }
 
-// IOBehavior computes E13's I/O-vs-outcome comparison.
+// IOBehavior computes E13's I/O-vs-outcome comparison, once per Dataset:
+// the result is shared and read-only.
 func (d *Dataset) IOBehavior() (*IOCorrelation, error) {
+	return d.memo.io.get(d.ioBehavior)
+}
+
+func (d *Dataset) ioBehavior() (*IOCorrelation, error) {
 	var okBytes, failBytes, okSecs, failSecs []float64
 	var bytesAll, successAll []float64
 	for i := range d.Jobs {

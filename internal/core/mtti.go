@@ -35,7 +35,17 @@ type MTTIResult struct {
 // interruption incidents; MTTI is the observation span divided by the
 // incident count. The raw-MTBF baseline shows how misleading the
 // unfiltered stream is.
+//
+// The default rule's result is memoized on the Dataset: it is shared and
+// read-only. Any other rule computes a fresh result.
 func (d *Dataset) MTTI(rule FilterRule) (*MTTIResult, error) {
+	if rule == DefaultFilterRule() {
+		return d.memo.mtti.get(func() (*MTTIResult, error) { return d.mtti(rule) })
+	}
+	return d.mtti(rule)
+}
+
+func (d *Dataset) mtti(rule FilterRule) (*MTTIResult, error) {
 	if err := rule.Validate(); err != nil {
 		return nil, err
 	}

@@ -70,7 +70,17 @@ type StructureResult struct {
 // FailureByStructure buckets jobs by a structure attribute and reports the
 // per-bucket failure rate. For DimNodes the buckets are the schedulable
 // block sizes; other dimensions use logarithmic buckets.
+//
+// The result for each defined dimension is memoized on the Dataset: it is
+// shared and read-only. An unknown dimension computes a fresh result.
 func (d *Dataset) FailureByStructure(dim StructureDim) (*StructureResult, error) {
+	if dim < DimNodes || dim > DimRuntime {
+		return d.failureByStructure(dim)
+	}
+	return d.memo.structure[dim-DimNodes].get(func() (*StructureResult, error) { return d.failureByStructure(dim) })
+}
+
+func (d *Dataset) failureByStructure(dim StructureDim) (*StructureResult, error) {
 	if len(d.Jobs) == 0 {
 		return nil, fmt.Errorf("core: no jobs")
 	}

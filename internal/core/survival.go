@@ -37,8 +37,13 @@ type SurvivalResult struct {
 // survivalHorizons are the fixed evaluation points (seconds).
 var survivalHorizons = []int{60, 600, 3600, 6 * 3600, 24 * 3600}
 
-// Survival runs the Kaplan–Meier analysis of time to user failure.
+// Survival runs the Kaplan–Meier analysis of time to user failure, once
+// per Dataset: the result is shared and read-only.
 func (d *Dataset) Survival() (*SurvivalResult, error) {
+	return d.memo.surv.get(d.survival)
+}
+
+func (d *Dataset) survival() (*SurvivalResult, error) {
 	obs := make([]stats.Observation, 0, len(d.Jobs))
 	res := &SurvivalResult{Horizons: map[int]float64{}}
 	for i := range d.Jobs {

@@ -22,20 +22,21 @@ type Takeaway struct {
 // takeaways with the corpus' measured values. The wording follows the
 // paper's findings; every number is computed, not quoted. The whole-corpus
 // aggregates (summary, failure tallies, concentration, locality, RAS and
-// temporal profiles, interruptions) come from one fused scan; fits, MTTI,
-// structure trends, I/O and the execution-length CDFs from their own
-// analyses.
+// temporal profiles, interruptions) come from CorpusProfile; MTTI,
+// structure trends, I/O and the execution-length CDFs from their memoized
+// analyses, so after the E1–E23 suite only the execution-length fits are
+// computed here.
 func (d *Dataset) Takeaways() ([]Takeaway, error) {
-	p, err := d.FusedScan(0)
+	p, err := d.CorpusProfile(0)
 	if err != nil {
 		return nil, fmt.Errorf("core: takeaways: %w", err)
 	}
 	sum, cls, joint := p.Summary, p.Exit, p.Joint
-	userConc, err := p.Concentration(ByUser)
+	userConc, err := d.Concentration(ByUser)
 	if err != nil {
 		return nil, fmt.Errorf("core: takeaways: %w", err)
 	}
-	projConc, err := p.Concentration(ByProject)
+	projConc, err := d.Concentration(ByProject)
 	if err != nil {
 		return nil, fmt.Errorf("core: takeaways: %w", err)
 	}

@@ -26,15 +26,11 @@ type CensoredObservation struct {
 // the censored generalization of the uncensored Weibull MLE equation.
 // This is the parametric counterpart of the Kaplan–Meier estimator: on
 // job-failure data it recovers the infant-mortality shape (k < 1) directly
-// from the censored stream.
+// from the censored stream. The shape is found by the solver WeibullFitter
+// uses (weibullMLE), started at k = 1.
 func FitCensoredWeibull(obs []CensoredObservation) (Weibull, error) {
-	// Hoist the times and their logarithms into flat arrays once: the shape
-	// equation is evaluated O(iterations) times and ln x does not depend on
-	// k, so caching it removes one transcendental per sample per evaluation
-	// (and the flat float64 arrays scan with half the stride of the
-	// observation structs). The summation order and every arithmetic step of
-	// g are unchanged, so the fitted parameters are bit-identical.
-	times := make([]float64, len(obs))
+	// ln x does not depend on k, so it is computed once; the shared solver
+	// then costs one Exp per observation per evaluation.
 	logs := make([]float64, len(obs))
 	var nObs int
 	var meanLogObs float64
@@ -42,7 +38,6 @@ func FitCensoredWeibull(obs []CensoredObservation) (Weibull, error) {
 		if o.Time <= 0 || math.IsNaN(o.Time) || math.IsInf(o.Time, 0) {
 			return Weibull{}, fmt.Errorf("fit censored weibull: %w", ErrBadSample)
 		}
-		times[i] = o.Time
 		logs[i] = math.Log(o.Time)
 		if o.Observed {
 			nObs++
@@ -57,91 +52,11 @@ func FitCensoredWeibull(obs []CensoredObservation) (Weibull, error) {
 	}
 	meanLogObs /= float64(nObs)
 
-	g := func(k float64) float64 {
-		var sxk, sxkl float64
-		for i, t := range times {
-			xk := math.Pow(t, k)
-			sxk += xk
-			sxkl += xk * logs[i]
-		}
-		return sxkl/sxk - 1/k - meanLogObs
+	shape, scale, err := weibullMLE(logs, meanLogObs, 1, float64(nObs))
+	if err != nil {
+		return Weibull{}, fmt.Errorf("fit censored weibull: %w", err)
 	}
-	// gTriple evaluates g at k, k+h and k−h in a single sweep of the sample
-	// arrays. Each of the six sums has its own accumulator fed in the same
-	// element order as three separate g calls, and the final expressions are
-	// unchanged, so the results carry the exact same bits — only the two
-	// extra array traversals per Newton step disappear.
-	gTriple := func(k, h float64) (gk, gp, gm float64) {
-		kp, km := k+h, k-h
-		var sxk, sxkl, sxkp, sxklp, sxkm, sxklm float64
-		for i, t := range times {
-			l := logs[i]
-			xk := math.Pow(t, k)
-			sxk += xk
-			sxkl += xk * l
-			xp := math.Pow(t, kp)
-			sxkp += xp
-			sxklp += xp * l
-			xm := math.Pow(t, km)
-			sxkm += xm
-			sxklm += xm * l
-		}
-		gk = sxkl/sxk - 1/k - meanLogObs
-		gp = sxklp/sxkp - 1/kp - meanLogObs
-		gm = sxklm/sxkm - 1/km - meanLogObs
-		return gk, gp, gm
-	}
-
-	// Newton with numeric derivative, bisection fallback (g is increasing).
-	k := 1.0
-	const tol = 1e-10
-	converged := false
-	for iter := 0; iter < 100; iter++ {
-		h := 1e-6 * math.Max(1, k)
-		gk, gp, gm := gTriple(k, h)
-		if math.Abs(gk) < tol {
-			converged = true
-			break
-		}
-		dg := (gp - gm) / (2 * h)
-		if dg == 0 || math.IsNaN(dg) {
-			break
-		}
-		next := k - gk/dg
-		if next <= 0 {
-			next = k / 2
-		}
-		if math.Abs(next-k) < tol*math.Max(1, k) {
-			k = next
-			converged = true
-			break
-		}
-		k = next
-	}
-	if !converged {
-		lo, hi := 1e-3, 100.0
-		if g(lo) > 0 || g(hi) < 0 {
-			return Weibull{}, fmt.Errorf("fit censored weibull: shape equation has no root in [%g,%g]", lo, hi)
-		}
-		for iter := 0; iter < 200; iter++ {
-			k = (lo + hi) / 2
-			if g(k) > 0 {
-				hi = k
-			} else {
-				lo = k
-			}
-			if hi-lo < tol {
-				break
-			}
-		}
-	}
-
-	var sxk float64
-	for _, t := range times {
-		sxk += math.Pow(t, k)
-	}
-	scale := math.Pow(sxk/float64(nObs), 1/k)
-	return NewWeibull(k, scale)
+	return NewWeibull(shape, scale)
 }
 
 // CensoredLogLikelihood evaluates the right-censored log-likelihood of d

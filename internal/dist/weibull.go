@@ -137,8 +137,30 @@ func (WeibullFitter) Fit(s *Sample) (Distribution, error) {
 		k = 0.5
 	}
 
-	// One pass evaluates g(k) = Σx^k ln x / Σx^k − 1/k − mean(ln x) and its
-	// analytic derivative g′(k) = Var-like term + 1/k², with x^k = e^{k·ln x}.
+	shape, scale, err := weibullMLE(logs, meanLog, k, float64(n))
+	if err != nil {
+		return nil, fmt.Errorf("fit weibull: %w", err)
+	}
+	return NewWeibull(shape, scale)
+}
+
+// weibullMLE is the Weibull shape solver both maximum-likelihood fits share.
+// It solves the profile-likelihood equation
+//
+//	g(k) = Σ x^k ln x / Σ x^k − 1/k − meanLog = 0
+//
+// over the cached logarithms logs[i] = ln x_i, by Newton–Raphson from k0
+// with a bisection fallback on [1e-3, 100] (g is increasing in k), and
+// returns the shape with the closed-form scale λ̂ = (Σ x^k / n)^{1/k}. One
+// data pass evaluates g and its analytic derivative
+// g′(k) = Σ x^k (ln x)² / Σ x^k − (Σ x^k ln x / Σ x^k)² + 1/k², with
+// x^k = e^{k·ln x}: one Exp per element and no Pow.
+//
+// WeibullFitter passes the whole sample's mean log and n = len(logs). The
+// right-censored fit passes the mean log of the observed events only and
+// n = the observed-event count, while the sums still run over every
+// observation.
+func weibullMLE(logs []float64, meanLog, k0, n float64) (shape, scale float64, err error) {
 	gAndDeriv := func(k float64) (g, dg float64) {
 		var sxk, sxkl, sxkl2 float64
 		for _, lx := range logs {
@@ -161,6 +183,7 @@ func (WeibullFitter) Fit(s *Sample) (Distribution, error) {
 		return sxkl/sxk - 1/k - meanLog
 	}
 
+	k := k0
 	const tol = 1e-10
 	converged := false
 	for iter := 0; iter < 100; iter++ {
@@ -184,10 +207,9 @@ func (WeibullFitter) Fit(s *Sample) (Distribution, error) {
 		k = next
 	}
 	if !converged {
-		// Bisection fallback: g is increasing in k for positive samples.
 		lo, hi := 1e-3, 100.0
 		if g(lo) > 0 || g(hi) < 0 {
-			return nil, fmt.Errorf("fit weibull: shape equation has no root in [%g,%g]", lo, hi)
+			return 0, 0, fmt.Errorf("shape equation has no root in [%g,%g]", lo, hi)
 		}
 		for iter := 0; iter < 200; iter++ {
 			k = (lo + hi) / 2
@@ -206,6 +228,5 @@ func (WeibullFitter) Fit(s *Sample) (Distribution, error) {
 	for _, lx := range logs {
 		sxk += math.Exp(k * lx)
 	}
-	scale := math.Pow(sxk/float64(n), 1/k)
-	return NewWeibull(k, scale)
+	return k, math.Pow(sxk/n, 1/k), nil
 }

@@ -18,9 +18,12 @@ import (
 )
 
 // Env is the shared evaluation environment: one generated corpus and its
-// indexed dataset, plus lazily memoized cross-experiment analyses (the
-// fused scan profile and the derived series several experiments would
-// otherwise recompute from scratch).
+// indexed dataset. The whole-corpus analyses several experiments share —
+// the fused scan profile, concentration, the default-rule MTTI and
+// incident streams, availability, survival, structure, I/O and the
+// execution-length CDFs — are memoized on the Dataset itself (see
+// core.Dataset.CorpusProfile), so core.Dataset.Takeaways reuses what the
+// suite computed; the Env adds only the series derived from them.
 //
 // An Env must not be copied after first use. The constructors are
 // conveniences: an Env literal with D set memoizes through the same path.
@@ -37,50 +40,16 @@ type Env struct {
 	cache envCache
 }
 
-// envCache memoizes analyses shared across experiments. sync.Once makes
-// each analysis safe to request from concurrently running experiments
-// while computing it exactly once.
-//
-// Beyond the fused profile it holds the derived-series cache: sorted
-// job-duration Samples per outcome, the per-job core-hours series, and the
-// default-rule MTTI / availability / survival results with their interval
-// and repair-time Samples — the series E5/E6/E12/E22/E23 would otherwise
-// re-extract and re-sort per experiment.
+// envCache memoizes the experiment-side series derived from the Dataset's
+// memoized analyses: the sorted job-duration Samples per outcome (wrapping
+// the memoized execution-length CDFs) and the per-job core-hours series.
+// sync.Once makes each safe to request from concurrently running
+// experiments while computing it exactly once.
 type envCache struct {
 	durOnce          sync.Once
 	durSucc, durFail *dist.Sample
 	coreHoursOnce    sync.Once
 	coreHours        []float64
-	mttiOnce         sync.Once
-	mtti             *core.MTTIResult
-	mttiErr          error
-	availOnce        sync.Once
-	avail            *core.AvailabilityResult
-	availErr         error
-	survOnce         sync.Once
-	surv             *core.SurvivalResult
-	survErr          error
-
-	// Fused-scan profile plus the memoizations layered on it (see
-	// fused.go). profileOnce guards the single shared scan RunAll triggers
-	// instead of ~20 private corpus walks.
-	profileOnce sync.Once
-	profile     *core.FusedProfile
-	profileErr  error
-
-	concUserOnce sync.Once
-	concUser     *core.ConcentrationResult
-	concUserErr  error
-	concProjOnce sync.Once
-	concProj     *core.ConcentrationResult
-	concProjErr  error
-
-	fatalIncOnce sync.Once
-	fatalInc     []core.Incident
-	fatalIncErr  error
-	warnIncOnce  sync.Once
-	warnInc      []core.Incident
-	warnIncErr   error
 
 	// Cohort profiles keyed by the predicate's canonical form (see
 	// cohort.go). A map rather than sync.Once because the key space is
@@ -138,13 +107,9 @@ func (e *Env) JobCoreHours() []float64 {
 }
 
 // MTTI returns the default-rule mean-time-to-interruption analysis,
-// computed once per environment. Experiments needing a non-default filter
-// rule should call D.MTTI directly.
-func (e *Env) MTTI() (*core.MTTIResult, error) {
-	c := &e.cache
-	c.mttiOnce.Do(func() { c.mtti, c.mttiErr = e.D.MTTI(core.DefaultFilterRule()) })
-	return c.mtti, c.mttiErr
-}
+// memoized on the Dataset (shared, read-only). Experiments needing a
+// non-default filter rule should call D.MTTI directly.
+func (e *Env) MTTI() (*core.MTTIResult, error) { return e.D.MTTI(core.DefaultFilterRule()) }
 
 // InterruptionIntervals returns the sorted interruption-interval Sample
 // (hours) from the memoized default-rule MTTI analysis; nil when there are
@@ -171,20 +136,12 @@ func (e *Env) LostCoreHours(r *core.MTTIResult) float64 {
 }
 
 // Availability returns the service-action availability analysis (with its
-// repair-time Sample), computed once per environment.
-func (e *Env) Availability() (*core.AvailabilityResult, error) {
-	c := &e.cache
-	c.availOnce.Do(func() { c.avail, c.availErr = e.D.Availability() })
-	return c.avail, c.availErr
-}
+// repair-time Sample), memoized on the Dataset (shared, read-only).
+func (e *Env) Availability() (*core.AvailabilityResult, error) { return e.D.Availability() }
 
-// Survival returns the Kaplan–Meier time-to-user-failure analysis, computed
-// once per environment.
-func (e *Env) Survival() (*core.SurvivalResult, error) {
-	c := &e.cache
-	c.survOnce.Do(func() { c.surv, c.survErr = e.D.Survival() })
-	return c.surv, c.survErr
-}
+// Survival returns the Kaplan–Meier time-to-user-failure analysis,
+// memoized on the Dataset (shared, read-only).
+func (e *Env) Survival() (*core.SurvivalResult, error) { return e.D.Survival() }
 
 // Result is one experiment's regenerated artifact.
 type Result struct {

@@ -13,7 +13,8 @@ import (
 )
 
 // TestDerivedSeriesMemoized checks every derived-series accessor hands back
-// the same computed object instead of re-deriving per caller.
+// the same computed object instead of re-deriving per caller, and that the
+// whole-corpus analyses are the Dataset's memoized results.
 func TestDerivedSeriesMemoized(t *testing.T) {
 	e := env(t)
 	s1, f1 := e.DurationSamples()
@@ -21,17 +22,21 @@ func TestDerivedSeriesMemoized(t *testing.T) {
 	if s1 != s2 || f1 != f2 {
 		t.Error("DurationSamples recomputed instead of memoized")
 	}
+	succ, fail := e.D.ExecutionLengthCDFs()
+	if &s1.Sorted()[0] != &succ[0] || &f1.Sorted()[0] != &fail[0] {
+		t.Error("DurationSamples do not wrap the Dataset's memoized execution-length CDFs")
+	}
 	ch1, ch2 := e.JobCoreHours(), e.JobCoreHours()
 	if len(ch1) == 0 || &ch1[0] != &ch2[0] {
 		t.Error("JobCoreHours recomputed instead of memoized")
 	}
 	m1, err1 := e.MTTI()
-	m2, err2 := e.MTTI()
+	m2, err2 := e.D.MTTI(core.DefaultFilterRule())
 	if err1 != nil || err2 != nil {
 		t.Fatalf("MTTI: %v, %v", err1, err2)
 	}
 	if m1 != m2 {
-		t.Error("MTTI recomputed instead of memoized")
+		t.Error("Env.MTTI is not the Dataset's memoized default-rule MTTI")
 	}
 	iv1, _ := e.InterruptionIntervals()
 	iv2, _ := e.InterruptionIntervals()
@@ -42,28 +47,28 @@ func TestDerivedSeriesMemoized(t *testing.T) {
 		t.Error("InterruptionIntervals does not alias the MTTI interval sample")
 	}
 	a1, err1 := e.Availability()
-	a2, err2 := e.Availability()
+	a2, err2 := e.D.Availability()
 	if err1 != nil || err2 != nil {
 		t.Fatalf("Availability: %v, %v", err1, err2)
 	}
 	if a1 != a2 {
-		t.Error("Availability recomputed instead of memoized")
+		t.Error("Env.Availability is not the Dataset's memoized result")
 	}
 	sv1, err1 := e.Survival()
-	sv2, err2 := e.Survival()
+	sv2, err2 := e.D.Survival()
 	if err1 != nil || err2 != nil {
 		t.Fatalf("Survival: %v, %v", err1, err2)
 	}
 	if sv1 != sv2 {
-		t.Error("Survival recomputed instead of memoized")
+		t.Error("Env.Survival is not the Dataset's memoized result")
 	}
 }
 
 // TestDerivedSeriesCacheConcurrent hammers every cached accessor from many
-// goroutines at once; the sync.Once guards must hand all of them the same
-// object with no data race (run with -race).
+// goroutines at once on a cold Dataset; the sync.Once guards must hand all
+// of them the same object with no data race (run with -race).
 func TestDerivedSeriesCacheConcurrent(t *testing.T) {
-	e := env(t)
+	e := NewEnvFromDataset(freshDataset(t, env(t).D))
 	const goroutines = 16
 	type view struct {
 		succ, fail *dist.Sample
@@ -73,6 +78,7 @@ func TestDerivedSeriesCacheConcurrent(t *testing.T) {
 		surv       interface{}
 		profile    interface{}
 		conc       interface{}
+		incidents  []core.Incident
 	}
 	views := make([]view, goroutines)
 	var wg sync.WaitGroup
@@ -88,6 +94,7 @@ func TestDerivedSeriesCacheConcurrent(t *testing.T) {
 			v.surv, _ = e.Survival()
 			v.profile, _ = e.fusedProfile()
 			v.conc, _ = e.Concentration(core.ByUser)
+			v.incidents, _ = e.FatalIncidents()
 			if res, _ := e.MTTI(); res != nil {
 				_ = e.LostCoreHours(res)
 			}
@@ -103,16 +110,17 @@ func TestDerivedSeriesCacheConcurrent(t *testing.T) {
 		}
 		if views[g].mtti != views[0].mtti || views[g].avail != views[0].avail ||
 			views[g].surv != views[0].surv || views[g].profile != views[0].profile ||
-			views[g].conc != views[0].conc {
+			views[g].conc != views[0].conc || &views[g].incidents[0] != &views[0].incidents[0] {
 			t.Fatalf("goroutine %d saw a different memoized analysis", g)
 		}
 	}
 }
 
 // TestEnvCacheNilFallback checks an Env built without a constructor serves
-// every derived series through the same cache as a constructed one: each
-// accessor matches the constructed environment's result and a second call
-// returns the same object.
+// every derived series through the same caches as a constructed one: the
+// Dataset-memoized analyses are the very same objects, the Env-derived
+// series equal the constructed environment's, and a second call returns
+// the same object.
 func TestEnvCacheNilFallback(t *testing.T) {
 	cached := env(t)
 	bare := &Env{D: cached.D, Parallelism: 1}
@@ -132,12 +140,8 @@ func TestEnvCacheNilFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cm, _ := cached.MTTI()
-	if m.Interruptions != cm.Interruptions {
-		t.Errorf("literal MTTI interruptions %d != constructed %d", m.Interruptions, cm.Interruptions)
-	}
-	if m2, _ := bare.MTTI(); m2 != m {
-		t.Error("literal MTTI not memoized")
+	if cm, _ := cached.MTTI(); m != cm {
+		t.Error("literal MTTI is not the constructed environment's memoized result")
 	}
 	if got, want := bare.LostCoreHours(m), bare.D.LostCoreHours(m); got != want {
 		t.Errorf("LostCoreHours via cache = %v, direct = %v", got, want)
@@ -150,9 +154,8 @@ func TestEnvCacheNilFallback(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		want, _ := get(cached)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("literal %s differs from constructed", name)
+		if want, _ := get(cached); got != want {
+			t.Errorf("literal %s is not the constructed environment's memoized result", name)
 		}
 		if again, _ := get(bare); again != got {
 			t.Errorf("literal %s not memoized", name)
@@ -162,7 +165,7 @@ func TestEnvCacheNilFallback(t *testing.T) {
 
 // TestFusedAccessorsNilCache checks every fused accessor on a
 // constructor-less Env literal matches the constructed environment over the
-// same dataset, and memoizes through the shared fused profile.
+// same dataset, and memoizes through the Dataset's shared profile.
 func TestFusedAccessorsNilCache(t *testing.T) {
 	c, err := sim.Generate(sim.SmallConfig())
 	if err != nil {
@@ -187,9 +190,8 @@ func TestFusedAccessorsNilCache(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		want, _ := get(cached)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("literal %s differs from constructed", name)
+		if want, _ := get(cached); got != want {
+			t.Errorf("literal %s is not the constructed environment's memoized result", name)
 		}
 		if again, _ := get(bare); again != got {
 			t.Errorf("literal %s not memoized", name)
@@ -214,13 +216,64 @@ func TestFusedAccessorsNilCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	cachedFatals, _ := cached.FatalIncidents()
-	if !reflect.DeepEqual(fatals, cachedFatals) {
-		t.Errorf("fatal incidents: literal %d, constructed %d", len(fatals), len(cachedFatals))
+	if &cachedFatals[0] != &fatals[0] {
+		t.Errorf("fatal incidents: literal %d, constructed %d, not one memoized stream", len(fatals), len(cachedFatals))
 	}
 	if again, _ := bare.FatalIncidents(); &again[0] != &fatals[0] {
 		t.Error("literal fatal incidents not memoized")
 	}
 }
+
+// TestTakeawaysReuseSuite checks that after RunAll every whole-corpus
+// analysis Takeaways reads is the object the suite's accessors computed:
+// the profile, both concentrations, the default-rule MTTI, the structure
+// results, the I/O comparison and the execution-length CDFs are the same
+// pointers from the Env side and from the Dataset side, so Takeaways
+// recomputes none of them. Its output still matches a cold Dataset's.
+func TestTakeawaysReuseSuite(t *testing.T) {
+	e := NewEnvFromDataset(freshDataset(t, env(t).D))
+	e.Parallelism = 2
+	if _, err := RunAll(e, 2); err != nil {
+		t.Fatal(err)
+	}
+	d := e.D
+	same := func(name string, suite, dataset interface{}, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if suite != dataset {
+			t.Errorf("%s: the suite's result is not the Dataset's memoized one", name)
+		}
+	}
+	p, err := e.fusedProfile()
+	same("profile", p, must(d.CorpusProfile(0)), err)
+	for _, by := range []core.GroupBy{core.ByUser, core.ByProject} {
+		c, err := e.Concentration(by)
+		same("concentration", c, must(d.Concentration(by)), err)
+	}
+	m, err := e.MTTI()
+	same("MTTI", m, must(d.MTTI(core.DefaultFilterRule())), err)
+	for _, dim := range []core.StructureDim{core.DimNodes, core.DimTasks} {
+		// E8 reads these through e.D; the Env adds no second memo.
+		s, err := e.D.FailureByStructure(dim)
+		same("structure "+dim.String(), s, must(d.FailureByStructure(dim)), err)
+	}
+	io, err := e.D.IOBehavior()
+	same("I/O", io, must(d.IOBehavior()), err)
+	succS, failS := e.DurationSamples()
+	succ, fail := d.ExecutionLengthCDFs()
+	same("succeeded CDF", &succS.Sorted()[0], &succ[0], nil)
+	same("failed CDF", &failS.Sorted()[0], &fail[0], nil)
+
+	if got, want := takeawaysDigest(t, d), takeawaysDigest(t, freshDataset(t, d)); got != want {
+		t.Errorf("takeaways after the suite %s, on a cold Dataset %s", got, want)
+	}
+}
+
+// must drops the error of a Dataset-side accessor call: the Env-side call
+// it is compared with reads the same memo and reports that error.
+func must[T any](v T, _ error) T { return v }
 
 // TestLegacySampleEquivalenceOnExperimentSeries pins model selection on
 // the real E6/E12/E22 inputs across the two ways a Sample is built: from

@@ -9,17 +9,14 @@ import (
 
 // This file is the experiments-side face of the fused scan engine: every
 // accessor serves the hot whole-corpus aggregates (E1/E2/E4/E7/E9/E10/E14/
-// E15/E16/E18/E19/E21) from one shared core.FusedScan or from the memoized
-// incident streams and MTTI result. The reference walks these accessors are
-// tested against live in internal/oracle.
+// E15/E16/E18/E19/E21) from the Dataset's memoized core.FusedScan profile
+// or from its memoized incident streams and MTTI result. The reference
+// walks these accessors are tested against live in internal/oracle.
 
-// fusedProfile returns the shared scan profile, running the scan once per
-// environment no matter how many experiments (or workers) request it.
-func (e *Env) fusedProfile() (*core.FusedProfile, error) {
-	c := &e.cache
-	c.profileOnce.Do(func() { c.profile, c.profileErr = e.D.FusedScan(e.Parallelism) })
-	return c.profile, c.profileErr
-}
+// fusedProfile returns the Dataset's memoized whole-corpus profile, scanned
+// once over at most e.Parallelism workers no matter how many experiments
+// (or workers, or Takeaways) request it.
+func (e *Env) fusedProfile() (*core.FusedProfile, error) { return e.D.CorpusProfile(e.Parallelism) }
 
 // Summary returns the Table-I dataset summary (E1).
 func (e *Env) Summary() (core.Summary, error) {
@@ -61,19 +58,13 @@ func (e *Env) Groups(by core.GroupBy) ([]core.GroupStats, error) {
 }
 
 // Concentration returns the concentration/correlation profile for the
-// grouping (E2/E7), computed once per environment and grouping.
+// grouping (E2/E7), memoized on the Dataset per grouping (shared,
+// read-only). The profile is built first so its scan honours Parallelism.
 func (e *Env) Concentration(by core.GroupBy) (*core.ConcentrationResult, error) {
-	p, err := e.fusedProfile()
-	if err != nil {
+	if _, err := e.fusedProfile(); err != nil {
 		return nil, err
 	}
-	c := &e.cache
-	if by == core.ByProject {
-		c.concProjOnce.Do(func() { c.concProj, c.concProjErr = p.Concentration(by) })
-		return c.concProj, c.concProjErr
-	}
-	c.concUserOnce.Do(func() { c.concUser, c.concUserErr = p.Concentration(by) })
-	return c.concUser, c.concUserErr
+	return e.D.Concentration(by)
 }
 
 // Temporal returns the hour/weekday/month activity profile (E14).
@@ -124,19 +115,15 @@ func (e *Env) Locality(level machine.Level) (*core.LocalityResult, error) {
 }
 
 // FatalIncidents returns the default-rule filtered FATAL incident stream,
-// computed once per environment (E16/E21 share it).
+// memoized on the Dataset (E16/E21 share it; shared, read-only).
 func (e *Env) FatalIncidents() ([]core.Incident, error) {
-	c := &e.cache
-	c.fatalIncOnce.Do(func() { c.fatalInc, c.fatalIncErr = e.D.FilterFatal(core.DefaultFilterRule()) })
-	return c.fatalInc, c.fatalIncErr
+	return e.D.FilterFatal(core.DefaultFilterRule())
 }
 
 // WarnIncidents returns the default-rule filtered WARN burst stream,
-// computed once per environment.
+// memoized on the Dataset (shared, read-only).
 func (e *Env) WarnIncidents() ([]core.Incident, error) {
-	c := &e.cache
-	c.warnIncOnce.Do(func() { c.warnInc, c.warnIncErr = e.D.FilterWarn(core.DefaultFilterRule()) })
-	return c.warnInc, c.warnIncErr
+	return e.D.FilterWarn(core.DefaultFilterRule())
 }
 
 // LeadTimes evaluates the WARN→FATAL precursor analysis for several

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -68,12 +69,26 @@ func takeawaysDigest(t *testing.T, d *core.Dataset) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// checkGolden runs the suite over fresh environments at workers 1, 4 and
-// GOMAXPROCS and compares every digest.
+// freshDataset indexes d's logs into a new Dataset with an empty analysis
+// memo, so every analysis on it is computed again.
+func freshDataset(t testing.TB, d *core.Dataset) *core.Dataset {
+	t.Helper()
+	fresh, err := core.NewDataset(d.Jobs, d.Tasks, d.Events, d.IO)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fresh
+}
+
+// checkGolden runs the suite at workers 1, 4 and GOMAXPROCS, each over a
+// fresh Dataset so every worker count computes the memoized analyses
+// itself, and compares every digest: the suite's, the takeaways' after the
+// suite (reading the suite's memo, as mirareport does) and the takeaways'
+// on a cold Dataset (computing every analysis itself).
 func checkGolden(t *testing.T, d *core.Dataset, suite, takeaways string) {
 	t.Helper()
 	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
-		env := NewEnvFromDataset(d)
+		env := NewEnvFromDataset(freshDataset(t, d))
 		env.Parallelism = workers
 		results, err := RunAll(env, workers)
 		if err != nil {
@@ -82,9 +97,49 @@ func checkGolden(t *testing.T, d *core.Dataset, suite, takeaways string) {
 		if got := suiteDigest(t, results); got != suite {
 			t.Errorf("workers=%d: suite digest %s, golden %s", workers, got, suite)
 		}
+		if got := takeawaysDigest(t, env.D); got != takeaways {
+			t.Errorf("workers=%d: takeaways after the suite: digest %s, golden %s", workers, got, takeaways)
+		}
 	}
-	if got := takeawaysDigest(t, d); got != takeaways {
-		t.Errorf("takeaways digest %s, golden %s", got, takeaways)
+	if got := takeawaysDigest(t, freshDataset(t, d)); got != takeaways {
+		t.Errorf("cold takeaways digest %s, golden %s", got, takeaways)
+	}
+}
+
+// TestRaceTakeawaysWithRunAll races Takeaways against RunAll on a cold
+// Dataset, so both reach every memoized analysis first-touch at once; both
+// outputs must still match the golden digests (run with -race).
+func TestRaceTakeawaysWithRunAll(t *testing.T) {
+	c, err := sim.Generate(sim.SmallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := core.NewDataset(c.Jobs, c.Tasks, c.Events, c.IO)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := NewEnvFromDataset(d)
+	env.Parallelism = 4
+	var (
+		results []*Result
+		runErr  error
+		wg      sync.WaitGroup
+	)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		results, runErr = RunAll(env, 4)
+	}()
+	gotTakeaways := takeawaysDigest(t, d)
+	wg.Wait()
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	if got := suiteDigest(t, results); got != goldenSmallSuite {
+		t.Errorf("suite digest %s, golden %s", got, goldenSmallSuite)
+	}
+	if gotTakeaways != goldenSmallTakeaways {
+		t.Errorf("takeaways digest %s, golden %s", gotTakeaways, goldenSmallTakeaways)
 	}
 }
 

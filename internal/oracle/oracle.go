@@ -198,13 +198,14 @@ func TallyOf(c *Classification) core.FailTally {
 }
 
 // LeadTime filters the FATAL and WARN streams with the rule (no cached
-// keys) and evaluates the precursor analysis for one lookback option.
+// keys or incidents) and evaluates the precursor analysis for one lookback
+// option.
 func LeadTime(d *core.Dataset, rule core.FilterRule, opt core.LeadTimeOptions) (*core.LeadTimeResult, error) {
-	fatals, err := d.FilterFatal(rule)
+	fatals, err := core.FilterBySeverity(d.Events, raslog.Fatal, rule)
 	if err != nil {
 		return nil, err
 	}
-	warns, err := d.FilterWarn(rule)
+	warns, err := core.FilterBySeverity(d.Events, raslog.Warn, rule)
 	if err != nil {
 		return nil, err
 	}
@@ -215,8 +216,8 @@ func LeadTime(d *core.Dataset, rule core.FilterRule, opt core.LeadTimeOptions) (
 	return rs[0], nil
 }
 
-// LifePhases re-runs the MTTI analysis under the rule and splits the
-// observation window into n phases.
+// LifePhases runs the MTTI analysis under the rule (the Dataset memoizes
+// the default rule's) and splits the observation window into n phases.
 func LifePhases(d *core.Dataset, n int, rule core.FilterRule) ([]core.LifePhase, error) {
 	mtti, err := d.MTTI(rule)
 	if err != nil {
@@ -226,9 +227,10 @@ func LifePhases(d *core.Dataset, n int, rule core.FilterRule) ([]core.LifePhase,
 }
 
 // SpatialCorrelation filters the FATAL stream with the rule (no cached
-// keys) and runs the torus-correlation analysis for one window.
+// keys or incidents) and runs the torus-correlation analysis for one
+// window.
 func SpatialCorrelation(d *core.Dataset, rule core.FilterRule, window time.Duration) (*core.SpatialCorrResult, error) {
-	incidents, err := d.FilterFatal(rule)
+	incidents, err := core.FilterBySeverity(d.Events, raslog.Fatal, rule)
 	if err != nil {
 		return nil, err
 	}

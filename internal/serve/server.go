@@ -219,8 +219,8 @@ func (s *Server) renderCohortBody(expr sel.Expr, where string) ([]byte, error) {
 	var p *core.FusedProfile
 	var err error
 	if expr == nil {
-		// Whole corpus: share the Env's memoized fused profile.
-		p, err = s.env.CohortProfileExpr(nil)
+		// Whole corpus: share the Dataset's memoized profile.
+		p, err = s.env.D.CorpusProfile(s.opts.Parallelism)
 	} else {
 		p, err = s.env.D.FusedScanWhere(expr, s.opts.Parallelism)
 	}

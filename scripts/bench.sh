@@ -22,7 +22,8 @@
 # filter-sweep speedup comparison in internal/core (speedup metric), the
 # LoadCSV/LoadPack corpus-load comparison in internal/pack (speedup
 # metric), the FitLegacy/FitSample model-selection comparison in
-# internal/dist (speedup metric), the aggregate-layer comparison
+# internal/dist (speedup metric) with the ≈300k-observation censored
+# Weibull fit BenchmarkFitCensoredWeibull, the aggregate-layer comparison
 # Benchmark_Aggregates_{Oracle,Fused} at the repo root (speedup metric,
 # measured against a median pass of the internal/oracle reference walks —
 # DESIGN.md §13), the cohort-query pushdown comparison
@@ -30,7 +31,9 @@
 # against a median materialize reference pass — DESIGN.md §14), and the
 # serving-layer cache comparison Benchmark_CohortServe_{Cold,Warm}
 # (speedup metric, measured against a median cold reference pass —
-# DESIGN.md §15; the warm floor is 20×).
+# DESIGN.md §15; the warm floor is 20×), and BenchmarkReportPath (the
+# E1–E23 suite plus takeaways over a cold 150-day Dataset, with a
+# takeaways_ms metric — DESIGN.md §17).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -52,8 +55,9 @@ if [[ "${BENCH_FULL:-0}" == "1" ]]; then
   raw+=$'\n'"$(go test -bench '^BenchmarkGenerate$' -benchmem -benchtime=3x -count=1 -run '^$' .)"
 else
   # The full run covers the repo root already; otherwise run just the
-  # paired aggregate and cohort comparisons with a bounded iteration count.
-  raw+=$'\n'"$(go test -bench 'Benchmark_(Aggregates_(Oracle|Fused)|CohortSweep_(Materialize|Where)|CohortServe_(Cold|Warm))$' -benchmem -benchtime=10x -count=1 -run '^$' .)"
+  # paired aggregate and cohort comparisons and the report path with a
+  # bounded iteration count.
+  raw+=$'\n'"$(go test -bench 'Benchmark(_(Aggregates_(Oracle|Fused)|CohortSweep_(Materialize|Where)|CohortServe_(Cold|Warm))|ReportPath)$' -benchmem -benchtime=10x -count=1 -run '^$' .)"
 fi
 echo "$raw"
 go run ./scripts/benchjson -out "$out" -sha "$sha" <<<"$raw"
